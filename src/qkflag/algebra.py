@@ -16,7 +16,6 @@ Values are immutable after construction and every operation is pure.
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 
 
 def _grlex_key(exp: tuple[int, ...]) -> tuple:
@@ -225,16 +224,6 @@ class LaurentPolynomial:
         if not self.terms:
             return 0
         return max(e[i - 1] for e in self.terms)
-
-    def evaluate(self, values: list[Fraction]) -> Fraction:
-        """Exact evaluation at nonzero rational points."""
-        total = Fraction(0)
-        for e, c in self.terms.items():
-            v = Fraction(c)
-            for x, k in zip(values, e):
-                v *= Fraction(x) ** k
-            total += v
-        return total
 
 
 def divexact(a: LaurentPolynomial, b: LaurentPolynomial) -> LaurentPolynomial:

@@ -3,7 +3,9 @@
 Every subcommand prints exactly one JSON document to stdout and a short
 human summary to stderr.  Exit code 0 means success (and PASS for
 verification commands), 1 means a verification ran and failed, 2 means the
-arguments were unusable.  Output is fully deterministic for a fixed
+arguments were unusable, and 4 means an internal invariant failed (a
+RuntimeError such as a quantum metric that is not unitriangular), which is
+a bug rather than a verdict or a usage error.  Output is fully deterministic for a fixed
 configuration, including iteration order, and every payload embeds the
 configuration that produced it.
 """
@@ -446,9 +448,12 @@ def dispatch(argv) -> int:
             code, payload, summary = _COMMANDS[args.command](args, parser)
     except SystemExit as e:
         return 2 if e.code not in (0, None) else int(e.code or 0)
-    except (ValueError, RuntimeError) as e:
+    except ValueError as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
+    except RuntimeError as e:
+        print(f"internal error: {e}", file=sys.stderr)
+        return 4
     print(json.dumps(payload, indent=2))
     print(summary, file=sys.stderr)
     return code

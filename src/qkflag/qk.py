@@ -14,9 +14,12 @@ conjectural mode is labeled CONDITIONAL.
 
 Products with a line bundle factor are defined through the quantum metric:
 L * sigma is the unique element whose pairings against the Schubert basis
-match the three-point column.  The metric is unitriangular at q = 0, so the
-truncated system solves by back substitution with no division.  General
-products of two non-line-bundle classes are out of scope.
+match the three-point column.  Each metric entry chi(O^v * O_g) is the Euler
+characteristic of a Richardson variety, which is 1 when v <= g in Bruhat
+order and 0 (the variety is empty) otherwise, so the metric is built from
+Bruhat order and curve-neighborhood labels alone.  It is unitriangular at
+q = 0, so the truncated system solves by back substitution with no
+division.  General products of two non-line-bundle classes are out of scope.
 """
 
 from dataclasses import dataclass
@@ -41,6 +44,7 @@ from .weyl import (
     Degree,
     FlagSpace,
     Perm,
+    bruhat_leq,
     min_coset_reps,
     reduced_word,
     z_d,
@@ -187,62 +191,25 @@ def quantum_gram(space: FlagSpace, bound: int):
     """Pairings sum_{d <= bound} q^d <O_u, O^v>_d as a nested dict.
 
     Rows are indexed by u, columns by v, both over the minimal coset
-    representatives.  The constant term is the Bruhat indicator, which makes
-    the matrix invertible within the truncation.
+    representatives.  The degree-d pairing is chi(O^v * O_g) with
+    g = Gamma_d(u), the Euler characteristic of the Richardson variety
+    X^v meet X_g: it is 1 when v <= g in Bruhat order and 0 otherwise, so
+    every coefficient is the 0/1 Bruhat indicator.  The constant term is
+    the indicator of v <= u, which makes the matrix invertible within the
+    truncation.
     """
     reps = min_coset_reps(space)
     k, n = space.k, space.n
-    cache: dict = {}
-
-    def pair(v, g):
-        val = cache.get((v, g))
-        if val is None:
-            val = euler_char(schubert_class(space, v, "B-") * schubert_class(space, g, "B"))
-            cache[(v, g)] = val
-        return val
-
+    one = RationalFunction.of(1, n)
     gram = {}
     for u in reps:
         labels = [(d, curve_neighborhood_schubert(space, u, d))
                   for d in degree_box(k, bound)]
-        row = {}
-        for v in reps:
-            coeffs = {}
-            for d, g in labels:
-                c = pair(v, g)
-                if not c.is_zero():
-                    coeffs[d] = c
-            row[v] = QSeries(k, n, bound, coeffs)
-        gram[u] = row
+        gram[u] = {
+            v: QSeries(k, n, bound, {d: one for d, g in labels if bruhat_leq(v, g)})
+            for v in reps
+        }
     return gram
-
-
-@lru_cache(maxsize=None)
-def _pairing_table(space: FlagSpace, bound: int):
-    """sum_d q^d <O_w, O_u>_d for the products against the same-side basis."""
-    reps = min_coset_reps(space)
-    k, n = space.k, space.n
-    cache: dict = {}
-
-    def pair(w, g):
-        val = cache.get((w, g))
-        if val is None:
-            val = euler_char(schubert_class(space, w, "B") * schubert_class(space, g, "B"))
-            cache[(w, g)] = val
-        return val
-
-    table = {}
-    for u in reps:
-        labels = [(d, curve_neighborhood_schubert(space, u, d))
-                  for d in degree_box(k, bound)]
-        for w in reps:
-            coeffs = {}
-            for d, g in labels:
-                c = pair(w, g)
-                if not c.is_zero():
-                    coeffs[d] = c
-            table.setdefault(w, {})[u] = QSeries(k, n, bound, coeffs)
-    return table
 
 
 @lru_cache(maxsize=None)
@@ -395,53 +362,62 @@ def basis_element(space: FlagSpace, w: Perm, bound: int) -> QKElement:
 # -- line bundle products ---------------------------------------------------
 
 
+def _triangular_solve(space: FlagSpace, bound: int, rows: list, rhs: dict,
+                      diag: dict | None = None) -> dict:
+    """Solve sum_c A[r][c] x_c = rhs_r for truncated q-series unknowns.
+
+    rows lists (r, entries) in solving order, entries mapping each column c
+    to the q-series A[r][c].  The q = 0 part must be triangular for that
+    order: a row's constant entries off the diagonal involve only unknowns
+    of earlier rows, and the diagonal constant is diag[r], or 1 when diag is
+    None.  Callers check this.  Every degree is then solved in order of
+    total degree by exact substitution, dividing only by diag.
+    """
+    k, n = space.k, space.n
+    zero_deg = (0,) * k
+    zero = RationalFunction.of(0, n)
+    plan = []
+    for r, entries in rows:
+        shifts: dict = {}
+        for c, qs in entries.items():
+            for t, a in qs.coeffs.items():
+                if c != r or t != zero_deg:
+                    shifts.setdefault(t, []).append((c, a))
+        plan.append((r, list(shifts.items())))
+    sol: dict = {r: {} for r, _ in rows}
+    for dcur in degree_box(k, bound):
+        for r, shifts in plan:
+            acc = rhs[r].coeffs.get(dcur, zero)
+            for t, terms in shifts:
+                if all(x <= y for x, y in zip(t, dcur)):
+                    key = tuple(y - x for x, y in zip(t, dcur))
+                    for c, a in terms:
+                        sv = sol[c].get(key)
+                        if sv is not None:
+                            acc = acc - a * sv
+            if diag is not None:
+                acc = acc / diag[r]
+            if not acc.is_zero():
+                sol[r][dcur] = acc
+    return {r: QSeries(k, n, bound, sol[r]) for r in sol}
+
+
 def _gram_solve(space: FlagSpace, bound: int, b: dict) -> dict:
     """Solve sum_v ((O_u, O^v)) s_v = b_u for the opposite-basis coordinates.
 
     The constant term of the metric must be unitriangular; a violation is an
-    internal error, not a verification failure.  Positive q-orders are
-    handled by exact back substitution in order of total degree, so no
-    division happens at all.
+    internal error, not a verification failure.  Rows are solved in basis
+    order and no division happens at all.
     """
     reps = min_coset_reps(space)
-    k, n = space.k, space.n
     gram = quantum_gram(space, bound)
-    one = RationalFunction.of(1, n)
-    zero = RationalFunction.of(0, n)
-    index = {u: i for i, u in enumerate(reps)}
-    lower: dict = {u: [] for u in reps}
-    higher: dict = {u: [] for u in reps}
-    for u in reps:
-        for v in reps:
-            qs = gram[u][v]
-            c0 = qs.constant_term()
-            if v == u:
-                if c0 != one:
-                    raise RuntimeError("quantum metric solve failed: diagonal is not 1")
-            elif index[v] > index[u]:
-                if not c0.is_zero():
-                    raise RuntimeError("quantum metric solve failed: not unitriangular")
-            elif not c0.is_zero():
-                lower[u].append((v, c0))
-            for t, c in qs.coeffs.items():
-                if any(t):
-                    higher[u].append((v, t, c))
-    sol: dict = {v: {} for v in reps}
-    for dcur in degree_box(k, bound):
-        for u in reps:
-            acc = b[u].coeffs.get(dcur, zero)
-            for v, c in lower[u]:
-                sv = sol[v].get(dcur)
-                if sv is not None:
-                    acc = acc - c * sv
-            for v, t, c in higher[u]:
-                if all(x <= y for x, y in zip(t, dcur)):
-                    sv = sol[v].get(tuple(y - x for x, y in zip(t, dcur)))
-                    if sv is not None:
-                        acc = acc - c * sv
-            if not acc.is_zero():
-                sol[u][dcur] = acc
-    return {v: QSeries(k, n, bound, sol[v]) for v in reps}
+    one = RationalFunction.of(1, space.n)
+    for i, u in enumerate(reps):
+        if gram[u][u].constant_term() != one:
+            raise RuntimeError("quantum metric solve failed: diagonal is not 1")
+        if any(not gram[u][v].constant_term().is_zero() for v in reps[i + 1:]):
+            raise RuntimeError("quantum metric solve failed: not unitriangular")
+    return _triangular_solve(space, bound, [(u, gram[u]) for u in reps], b)
 
 
 def line_bundle_product(oracle: GWOracle, L, sigma: QKElement,
@@ -450,7 +426,10 @@ def line_bundle_product(oracle: GWOracle, L, sigma: QKElement,
 
     sigma must carry O_w coordinates at the same truncation; the result is
     returned in the same basis.  Linearity over K_T(pt)[q] holds by
-    construction, and the q = 0 part is the classical product.
+    construction, and the q = 0 part is the classical product.  For
+    L = c0 + c1 det S_j the c0 part is c0 * sigma outright, since solving
+    the metric against sigma's own pairings returns sigma; only the c1 part
+    goes through the metric.
     """
     space = oracle.space
     if not isinstance(sigma, QKElement) or sigma.space != space:
@@ -460,25 +439,20 @@ def line_bundle_product(oracle: GWOracle, L, sigma: QKElement,
     if sigma.bound != bound:
         raise ValueError("truncation bounds disagree")
     c0, c1, j = _parse_line_arg(oracle, L)
-    if not c1.is_zero() and j not in oracle.divisor_steps():
+    if c1.is_zero():
+        return sigma * c0
+    if j not in oracle.divisor_steps():
         raise ValueError(
             f"step {j} is not licensed by the {oracle.mode} oracle on this space"
         )
     reps = min_coset_reps(space)
     k, n = space.k, space.n
-    pair_t = _pairing_table(space, bound) if not c0.is_zero() else None
-    div_t = (_divisor_table(space, j, j in oracle.drop_vanishing, bound)
-             if not c1.is_zero() else None)
+    div_t = _divisor_table(space, j, j in oracle.drop_vanishing, bound)
     b = {}
     for u in reps:
         acc = QSeries.zero(k, n, bound)
         for w, qs in sigma.coords.items():
-            cell = QSeries.zero(k, n, bound)
-            if pair_t is not None:
-                cell = cell + pair_t[w][u] * c0
-            if div_t is not None:
-                cell = cell + div_t[w][u] * c1
-            acc = acc + qs * cell
+            acc = acc + qs * div_t[w][u]
         b[u] = acc
     sol = _gram_solve(space, bound, b)
     change = _classical_change(space)
@@ -492,7 +466,7 @@ def line_bundle_product(oracle: GWOracle, L, sigma: QKElement,
             cur = coords.get(u)
             term = qs * c
             coords[u] = term if cur is None else cur + term
-    return QKElement(space, "B", bound, coords)
+    return sigma * c0 + QKElement(space, "B", bound, coords) * c1
 
 
 @lru_cache(maxsize=None)
@@ -528,6 +502,7 @@ def line_bundle_solve(oracle: GWOracle, L, sigma: QKElement,
 
     Line bundle classes are units, so the product operator is invertible:
     its classical part is triangular with unit monomials on the diagonal,
+    so rows are solved in reverse basis order, dividing by the diagonal,
     and the quantum corrections are handled degree by degree.
     """
     space = oracle.space
@@ -538,35 +513,17 @@ def line_bundle_solve(oracle: GWOracle, L, sigma: QKElement,
     c0, c1, j = _parse_line_arg(oracle, L)
     cols = _line_matrix(space, (c0, c1, j), j in oracle.drop_vanishing, bound)
     reps = min_coset_reps(space)
-    k, n = space.k, space.n
-    zero = RationalFunction.of(0, n)
     diag = {}
     for w in reps:
         c = cols[w].at(w).constant_term()
         if c.is_zero():
             raise RuntimeError("line product operator has a singular diagonal")
         diag[w] = c
-    order = list(reversed(reps))
-    sol: dict = {w: {} for w in reps}
-    for dcur in degree_box(k, bound):
-        for w in order:
-            acc = sigma.at(w).coeffs.get(dcur, zero)
-            for wp in reps:
-                col = cols[wp].coords.get(w)
-                if col is None:
-                    continue
-                for t, c in col.coeffs.items():
-                    if wp == w and not any(t):
-                        continue
-                    if all(x <= y for x, y in zip(t, dcur)):
-                        sv = sol[wp].get(tuple(y - x for x, y in zip(t, dcur)))
-                        if sv is not None:
-                            acc = acc - c * sv
-            acc = acc / diag[w]
-            if not acc.is_zero():
-                sol[w][dcur] = acc
+    rows = [(w, {wp: cols[wp].coords[w] for wp in reps if w in cols[wp].coords})
+            for w in reversed(reps)]
+    rhs = {w: sigma.at(w) for w in reps}
     return QKElement(space, "B", bound,
-                     {w: QSeries(k, n, bound, sol[w]) for w in reps})
+                     _triangular_solve(space, bound, rows, rhs, diag))
 
 
 # -- verification reports ---------------------------------------------------

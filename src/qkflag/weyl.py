@@ -340,7 +340,8 @@ def _z_d(space: FlagSpace, d: Degree) -> Perm:
         return identity(space.n)
     beta, lowered = _peel(space, d, comps[0])
     z = demazure_product(_z_d(space, lowered), beta.to_perm(space.n))
-    assert inverse(z) == z
+    if inverse(z) != z:
+        raise RuntimeError(f"z_d for degree {d} is not an involution")
     return z
 
 
@@ -409,21 +410,26 @@ def z_d_replace_factor(
     if not 1 <= i <= n - 1 or d[i - 1] == 0 or (i <= n - 2 and d[i] != 0):
         raise ValueError("need a positive coordinate followed by a zero")
     peels = z_d_peels(space, d)
-    assert all(not (b.a <= i + 1 < b.b) for b in peels)
+    if any(b.a <= i + 1 < b.b for b in peels):
+        raise RuntimeError(f"a peel of degree {d} crosses step {i + 1}")
     chain = [b for b in peels if b.a <= i < b.b]
     others = [b for b in peels if not (b.a <= i < b.b)]
-    assert chain and all(b.b == i + 1 for b in chain)
+    if not chain or any(b.b != i + 1 for b in chain):
+        raise RuntimeError(f"the peels of degree {d} through step {i} "
+                           f"do not form a chain ending at {i + 1}")
     arranged = list(reversed(others)) + list(reversed(chain))
     prods = [r.to_perm(n) for r in arranged]
     check = identity(n)
     for p in prods:
         check = demazure_product(check, p)
-    assert check == _z_d(space, d)
+    if check != _z_d(space, d):
+        raise RuntimeError(f"the rearranged peels of degree {d} do not multiply to z_d")
     if skip_replacement:
         return check
     # in peel order the chain's left endpoints weakly increase, so the
     # designated factor (last peeled) has the innermost support
-    assert all(x.a <= y.a for x, y in zip(chain, chain[1:]))
+    if any(x.a > y.a for x, y in zip(chain, chain[1:])):
+        raise RuntimeError(f"the chain of degree {d} at step {i} is not nested")
     designated = arranged[len(others)]
     head = prods[: len(others)]
     tail = prods[len(others) + 1 :]

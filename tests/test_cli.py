@@ -1,10 +1,14 @@
 """Dispatch-level tests for the command-line front end."""
 
+import hashlib
 import json
 
 import pytest
 
+import qkflag.qk
+from qkflag.algebra import QSeries
 from qkflag.cli import dispatch
+from qkflag.weyl import min_coset_reps
 
 
 def run(capsys, *argv):
@@ -44,6 +48,43 @@ def test_gw_2pt_example(capsys):
                               "--w", "123", "--d", "0,1")
     assert code == 0
     assert doc["value"] == "0"
+
+
+# -- golden README payloads --------------------------------------------------
+
+# The README command-line examples with the sha256 of each one's stdout; the
+# benchmark pins the same digests (CLI_README in perfbench/run.py).
+# `verify coulomb --n 4` is covered by test_verify_coulomb and the acceptance
+# suite instead.
+README_DIGESTS = [
+    ("verify incidence --n 3 --qdeg 2",
+     "595a6628c9a410713bf4654006d448f9168efced60042e3eac138594108d0983"),
+    ("verify classical --n 3 --ranks 1,2",
+     "7c59f31557caae96d516cfabc2584f2e8bce7bf9c183408ec9266618d4880925"),
+    ("gw --n 3 --ranks 1,2 --type 2pt --sigma detS2 --w 123 --d 0,1",
+     "777265d10d19d02d374e1436545ee8adaf4ed7bc46883a32bf7e78fbd45a5637"),
+    ("product --n 3 --L detS2 --sigma O:213",
+     "82afab9509f502bf6f99635f130914b39d9a3fc021d9a74270018ec706e3d0e0"),
+    ("schubert --n 3 --ranks 1,2 --w 213",
+     "28e9ba8bb154072992359df5a446150cd702f65829d3e603ec89d8faeecd82cf"),
+    ("curve-nbhd --n 4 --ranks 1,3 --w 2134 --d 1,1",
+     "bb57ee5e49582746b7f66e319a99795e702b9ca398be750c6eeef809eaaf7bd9"),
+    ("table --n 3 --qdeg 1",
+     "676920ba20bc0503e500e103f4a061ad821b60c545567e3c3afa9b3b783fe099"),
+    ("verify flag-reduction --n 4",
+     "0e4f1917d2a71eb386aaacb4612edf491080885037a19da20932a36b610f6c4f"),
+    ("verify presentation --n 3 --coeffs exact",
+     "72cd4da9584336ad464d652761ef3af7ea79d852caf2f1e6977af30592c73c86"),
+    ("product --n 4 --L detS3 --sigma one --conditional --qdeg 1",
+     "d7924ce44deb99ac42dc8638c7e1977d5194f8bb072fd560c5b8f6e7eebcb682"),
+]
+
+
+def test_readme_examples_match_golden_digests(capsys):
+    for command, digest in README_DIGESTS:
+        code, out, _ = run(capsys, *command.split())
+        assert code == 0, command
+        assert hashlib.sha256(out.encode()).hexdigest() == digest, command
 
 
 # -- payload structure -------------------------------------------------------
@@ -193,6 +234,21 @@ def test_usage_errors_exit_2(capsys, argv):
     assert code == 2
     assert out == ""
     assert err.strip()
+
+
+def test_internal_error_exits_4(capsys, monkeypatch):
+    # a metric that is not unitriangular is a bug, not a usage error
+    def broken_gram(space, bound):
+        reps = min_coset_reps(space)
+        zero = QSeries.zero(space.k, space.n, bound)
+        return {u: {v: zero for v in reps} for u in reps}
+
+    monkeypatch.setattr(qkflag.qk, "quantum_gram", broken_gram)
+    code, out, err = run(capsys, "product", "--n", "3", "--L", "detS2",
+                         "--sigma", "O:213")
+    assert code == 4
+    assert out == ""
+    assert "quantum metric solve failed" in err
 
 
 def test_help_exits_zero(capsys):

@@ -190,14 +190,17 @@ def test_quantum_gram_constant_term_is_bruhat_indicator():
 
 
 def test_quantum_gram_entries_match_invariants():
-    gram = quantum_gram(FL3, 1)
-    for u in min_coset_reps(FL3):
-        for v in min_coset_reps(FL3):
-            opp = schubert_class(FL3, v, "B-")
-            for d in degree_box(2, 1):
-                expected = gw2(opp, u, d)
-                got = gram[u][v].coeffs.get(d, rf(0, 3))
-                assert got == expected
+    # the metric is built from Bruhat order alone; Euler characteristics
+    # of the opposite classes over the neighborhoods are the reference
+    for space, bound in [(FL3, 1), (GR24, 2), (FL134, 1), (FlagSpace.full(4), 1)]:
+        gram = quantum_gram(space, bound)
+        for u in min_coset_reps(space):
+            for v in min_coset_reps(space):
+                opp = schubert_class(space, v, "B-")
+                for d in degree_box(space.k, bound):
+                    expected = gw2(opp, u, d)
+                    got = gram[u][v].coeffs.get(d, rf(0, space.n))
+                    assert got == expected
 
 
 def test_identity_line_bundle_acts_trivially():
@@ -224,6 +227,18 @@ def test_product_degree_zero_part_is_classical():
         got = line_bundle_product(oracle, ("det", 1), basis_element(FL3, w, 1), 1)
         expected = det_class(FL3, 1) * schubert_class(FL3, w, "B")
         assert got.classical_part() == expected
+
+
+def test_opposite_divisor_product_degree_zero_part_is_classical():
+    # ("opposite", j) has a nonzero constant part c0, which is applied
+    # without the metric; the q = 0 part must still be the classical product
+    oracle = GWOracle("incidence-proven", FL3)
+    for j in (1, 2):
+        opp = schubert_class(FL3, simple_reflection(3, FL3.ranks[j - 1]), "B-")
+        for w in min_coset_reps(FL3):
+            got = line_bundle_product(oracle, ("opposite", j),
+                                      basis_element(FL3, w, 2), 2)
+            assert got.classical_part() == opp * schubert_class(FL3, w, "B")
 
 
 def test_adjacent_determinant_products():

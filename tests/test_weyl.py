@@ -6,6 +6,7 @@ import math
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import qkflag.weyl as weyl
 from qkflag.weyl import (
     FlagSpace,
     Root,
@@ -409,6 +410,17 @@ def test_z_d_replace_factor_mutation_is_detected():
     kept = z_d_replace_factor(space, (1,), 1, skip_replacement=True)
     assert kept == z_d(space, (1,))
     assert kept != z_d(space, (0,))
+
+
+@pytest.mark.parametrize("peels", [
+    (),                  # no peel runs through the step
+    (Root(1, 3),),       # a peel crosses past the step
+])
+def test_z_d_replace_factor_broken_peels_raise(monkeypatch, peels):
+    # the surgery's invariants are exceptions, so they hold under python -O
+    monkeypatch.setattr(weyl, "z_d_peels", lambda space, d: peels)
+    with pytest.raises(RuntimeError):
+        z_d_replace_factor(FlagSpace.full(3), (1, 0), 1)
 
 
 # ---------------------------------------------------------------- parabolics
