@@ -16,6 +16,7 @@ Values are immutable after construction and every operation is pure.
 from __future__ import annotations
 
 import math
+from functools import lru_cache
 
 
 def _grlex_key(exp: tuple[int, ...]) -> tuple:
@@ -611,6 +612,15 @@ def elem_sym(vars: list, ell: int):
         for j in range(min(ell, len(vars)), 0, -1):
             e[j] = e[j] + v * e[j - 1]
     return e[ell]
+
+
+@lru_cache(maxsize=None)
+def t_elem(n: int, ell: int, nvars: int | None = None) -> LaurentPolynomial:
+    """e_ell(T1..Tn), the class of wedge^ell C^n in K_T(pt), as a Laurent
+    polynomial in nvars >= n variables (default n) whose first n are the T's.
+    """
+    nv = n if nvars is None else nvars
+    return elem_sym([LaurentPolynomial.variable(nv, a) for a in range(1, n + 1)], ell)
 
 
 def rf_arith(a: RationalFunction, b: RationalFunction, op: str) -> RationalFunction:

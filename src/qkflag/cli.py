@@ -14,7 +14,7 @@ import argparse
 import json
 import sys
 
-from .algebra import render_rational
+from .algebra import render_rational, t_elem
 from .ktheory import (
     bundle_class,
     bundle_quotient_class,
@@ -29,7 +29,6 @@ from .presentation import (
     pres_scalar,
     pres_var,
     psi_evaluate,
-    _t_elem,
 )
 from .qk import (
     GWOracle,
@@ -45,6 +44,28 @@ from .weyl import FlagSpace, min_coset_reps, z_d
 
 
 # -- argument handling -------------------------------------------------------
+
+def _qdeg(text: str) -> int:
+    """argparse type for --qdeg: a nonnegative integer."""
+    try:
+        d = int(text)
+    except ValueError:
+        d = None
+    if d is None or d < 0:
+        raise argparse.ArgumentTypeError(
+            f"must be a nonnegative integer, got {text!r}")
+    return d
+
+
+def _coeff_mode(text: str) -> str:
+    """argparse type for --coeffs: exact or seed:<u64>, kept as written."""
+    seed = text[5:] if text.startswith("seed:") else ""
+    if text != "exact" and not (seed.isascii() and seed.isdigit()
+                                and int(seed) < 2 ** 64):
+        raise argparse.ArgumentTypeError(
+            f"must be exact or seed:<u64>, got {text!r}")
+    return text
+
 
 def _build_parser():
     top = argparse.ArgumentParser(
@@ -62,9 +83,9 @@ def _build_parser():
         if ranks:
             p.add_argument("--ranks", type=str, default=None,
                            help="comma-separated subbundle ranks; omit for the full flag")
-        p.add_argument("--qdeg", type=int, default=2,
+        p.add_argument("--qdeg", type=_qdeg, default=2,
                        help="componentwise q-degree truncation (default 2)")
-        p.add_argument("--coeffs", type=str, default="seed:0",
+        p.add_argument("--coeffs", type=_coeff_mode, default="seed:0",
                        help="coefficient mode: exact or seed:<u64> (default seed:0)")
         p.add_argument("--conditional", action="store_true",
                        help="allow conjecture-assumed complete-flag products")
@@ -290,24 +311,17 @@ def _cmd_product(args, parser):
     return 0, payload, f"product {args.L} * {args.sigma} on {_label(space)}"
 
 
-def _seeds_or_exact(args, parser):
-    mode = args.coeffs
-    if mode == "exact":
+def _seeds_or_exact(args):
+    # args.coeffs was validated by _coeff_mode
+    if args.coeffs == "exact":
         return None, True
-    if mode.startswith("seed:"):
-        try:
-            s = int(mode[5:])
-            if s < 0:
-                raise ValueError
-            return (s, s + 1), False
-        except ValueError:
-            pass
-    parser.error(f"--coeffs must be exact or seed:<u64>, got {mode!r}")
+    s = int(args.coeffs[5:])
+    return (s, s + 1), False
 
 
 def _cmd_verify_classical(args, parser):
     space = _get_space(args, parser)
-    seeds, exact = _seeds_or_exact(args, parser)
+    seeds, exact = _seeds_or_exact(args)
     spec = ideal_generators(space, "classical")
     if exact:
         dim = groebner_dimension(spec, exact=True)
@@ -371,7 +385,7 @@ def _cmd_verify_coulomb(args, parser):
 
 def _cmd_verify_presentation(args, parser):
     space = _incidence_space(args, parser)
-    seeds, exact = _seeds_or_exact(args, parser)
+    seeds, exact = _seeds_or_exact(args)
     expected = len(min_coset_reps(space))
     witnesses = []
     dims = {}
@@ -391,7 +405,7 @@ def _cmd_verify_presentation(args, parser):
                 witnesses.append({"relation": f"psi-{flavor}-{i + 1}"})
             checked += 1
     kernel = pres_var(space, "eX2_1") + pres_var(space, "eY2_1") \
-        - pres_scalar(space, _t_elem(space, 1))
+        - pres_scalar(space, t_elem(space.n, 1, space.n + space.k))
     if not psi_evaluate(kernel, args.qdeg).is_zero():
         witnesses.append({"relation": "psi-kernel-element"})
     status = "PASS" if not witnesses else "FAIL"

@@ -36,10 +36,10 @@ from .algebra import (
     RationalFunction,
     default_names,
     divexact,
-    elem_sym,
     qs_inverse,
     qs_mul,
     render_rational,
+    t_elem,
 )
 from .ktheory import bundle_class, bundle_quotient_class
 from .qk import (
@@ -191,17 +191,6 @@ def pres_q(space: FlagSpace, j: int, auxiliary: bool = False) -> PresPoly:
         raise ValueError("quantum parameter index out of range")
     qv = LaurentPolynomial.variable(space.n + space.k, space.n + j)
     return pres_scalar(space, qv, auxiliary)
-
-
-@lru_cache(maxsize=None)
-def _t_elem(space: FlagSpace, ell: int) -> LaurentPolynomial:
-    """e_ell(T1..Tn) inside the extended scalar ring."""
-    nv = space.n + space.k
-    tv = [LaurentPolynomial.variable(nv, i) for i in range(1, space.n + 1)]
-    e = elem_sym(tv, ell)
-    if isinstance(e, int):
-        e = LaurentPolynomial.constant(nv, e)
-    return e
 
 
 def _q_unit(space: FlagSpace, j: int) -> LaurentPolynomial:
@@ -379,7 +368,7 @@ def _xvar(space: FlagSpace, j: int, ell: int) -> PresPoly:
     if j == space.k + 1:
         if ell > space.n:
             return pres_zero(space)
-        return pres_scalar(space, _t_elem(space, ell))
+        return pres_scalar(space, t_elem(space.n, ell, space.n + space.k))
     if ell > space.ranks[j - 1]:
         return pres_zero(space)
     return pres_var(space, f"eX{j}_{ell}")
@@ -422,7 +411,7 @@ def _incidence_series_generators(space: FlagSpace) -> list:
     c = pres_var(space, "eY2_1")
     for m in range(1, n + 1):
         g = _xvar(space, 2, m) + _xvar(space, 2, m - 1) * c \
-            - pres_scalar(space, _t_elem(space, m))
+            - pres_scalar(space, t_elem(space.n, m, space.n + space.k))
         inner = _xvar(space, 2, m - 1)
         if m == 1:
             inner = inner - pres_one(space)
@@ -445,7 +434,7 @@ def _incidence_polynomial_generators(space: FlagSpace) -> list:
         gens.append(g)
     c = pres_var(space, "eY2_1")
     for m in range(1, n + 1):
-        em = pres_scalar(space, _t_elem(space, m))
+        em = pres_scalar(space, t_elem(space.n, m, space.n + space.k))
         g = _xvar(space, 2, m) + _xvar(space, 2, m - 1) * c - em
         corr = em - _xvar(space, 2, m)
         if m == 1:
@@ -485,7 +474,7 @@ def _coulomb_generators(space: FlagSpace) -> list:
             g = g - q1 * _aux_var(space, n - 2)
         gens.append(g)
     for ell in range(1, n + 1):
-        em = pres_scalar(space, _t_elem(space, ell), auxiliary=True)
+        em = pres_scalar(space, t_elem(space.n, ell, space.n + space.k), auxiliary=True)
         g = xv(ell) + xv(ell - 1) * z - em
         if ell == 1:
             g = g - q2 * z
@@ -832,7 +821,7 @@ def psi_evaluate(gen: PresPoly, bound: int) -> QKElement:
         f"eY1_{n - 2}": "quot-det",
         "eY2_1": "quot-line",
     }
-    etop = _project_t(RationalFunction.of(_t_elem(space, n), n + space.k), n)
+    etop = RationalFunction.of(t_elem(n, n), n)
 
     def unit_series(j):
         # the scalar 1 - q_j in the truncated series ring

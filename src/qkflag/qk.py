@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from itertools import product as iter_product
 
-from .algebra import LaurentPolynomial, QSeries, RationalFunction, elem_sym
+from .algebra import LaurentPolynomial, QSeries, RationalFunction, t_elem
 from .curves import curve_neighborhood_schubert
 from .ktheory import (
     KClass,
@@ -58,11 +58,6 @@ def degree_box(k: int, bound: int) -> list[Degree]:
     if bound < 0:
         raise ValueError("need a nonnegative truncation bound")
     return sorted(iter_product(range(bound + 1), repeat=k), key=lambda d: (sum(d), d))
-
-
-def _t_elem(n: int, ell: int) -> LaurentPolynomial:
-    # e_ell(T_1, ..., T_n), the class of wedge^ell C^n in K_T(pt)
-    return elem_sym([LaurentPolynomial.variable(n, a) for a in range(1, n + 1)], ell)
 
 
 # -- invariants -------------------------------------------------------------
@@ -116,13 +111,17 @@ class GWOracle:
         return tuple(range(1, self.space.k + 1))
 
 
-def _divisor_char(oracle: GWOracle, j: int, sigma: KClass, w: Perm,
-                  d: Degree) -> RationalFunction:
-    space = oracle.space
+def _check_licence(oracle: GWOracle, j: int):
     if j not in oracle.divisor_steps():
         raise ValueError(
             f"step {j} is not licensed by the {oracle.mode} oracle on this space"
         )
+
+
+def _divisor_char(oracle: GWOracle, j: int, sigma: KClass, w: Perm,
+                  d: Degree) -> RationalFunction:
+    space = oracle.space
+    _check_licence(oracle, j)
     d = tuple(d)
     if len(d) != space.k or any(c < 0 for c in d):
         raise ValueError("degree must be effective with one entry per rank")
@@ -420,41 +419,18 @@ def _gram_solve(space: FlagSpace, bound: int, b: dict) -> dict:
     return _triangular_solve(space, bound, [(u, gram[u]) for u in reps], b)
 
 
-def line_bundle_product(oracle: GWOracle, L, sigma: QKElement,
-                        bound: int) -> QKElement:
-    """The product L * sigma determined by matching three-point pairings.
+@lru_cache(maxsize=None)
+def _det_column(space: FlagSpace, j: int, dropped: bool, bound: int,
+                w: Perm) -> QKElement:
+    """det S_j * O_w through the metric, in the O_w basis.
 
-    sigma must carry O_w coordinates at the same truncation; the result is
-    returned in the same basis.  Linearity over K_T(pt)[q] holds by
-    construction, and the q = 0 part is the classical product.  For
-    L = c0 + c1 det S_j the c0 part is c0 * sigma outright, since solving
-    the metric against sigma's own pairings returns sigma; only the c1 part
-    goes through the metric.
+    The pairings of the product against the basis are the w column of the
+    divisor table; solving the metric against them gives opposite-basis
+    coordinates, which the classical change of basis turns back into O_w
+    coordinates.  dropped selects the mutated vanishing rule on step j.
     """
-    space = oracle.space
-    if not isinstance(sigma, QKElement) or sigma.space != space:
-        raise ValueError("the element must live on the oracle's space")
-    if sigma.basis != "B":
-        raise ValueError("products expect coordinates in the O_w basis")
-    if sigma.bound != bound:
-        raise ValueError("truncation bounds disagree")
-    c0, c1, j = _parse_line_arg(oracle, L)
-    if c1.is_zero():
-        return sigma * c0
-    if j not in oracle.divisor_steps():
-        raise ValueError(
-            f"step {j} is not licensed by the {oracle.mode} oracle on this space"
-        )
-    reps = min_coset_reps(space)
-    k, n = space.k, space.n
-    div_t = _divisor_table(space, j, j in oracle.drop_vanishing, bound)
-    b = {}
-    for u in reps:
-        acc = QSeries.zero(k, n, bound)
-        for w, qs in sigma.coords.items():
-            acc = acc + qs * div_t[w][u]
-        b[u] = acc
-    sol = _gram_solve(space, bound, b)
+    div_w = _divisor_table(space, j, dropped, bound)[w]
+    sol = _gram_solve(space, bound, div_w)
     change = _classical_change(space)
     coords: dict = {}
     for v, qs in sol.items():
@@ -466,7 +442,39 @@ def line_bundle_product(oracle: GWOracle, L, sigma: QKElement,
             cur = coords.get(u)
             term = qs * c
             coords[u] = term if cur is None else cur + term
-    return sigma * c0 + QKElement(space, "B", bound, coords) * c1
+    return QKElement(space, "B", bound, coords)
+
+
+def line_bundle_product(oracle: GWOracle, L, sigma: QKElement,
+                        bound: int) -> QKElement:
+    """The product L * sigma determined by matching three-point pairings.
+
+    sigma must carry O_w coordinates at the same truncation; the result is
+    returned in the same basis.  Linearity over K_T(pt)[q] holds by
+    construction, and the q = 0 part is the classical product.  For
+    L = c0 + c1 det S_j the c0 part is c0 * sigma outright, since solving
+    the metric against sigma's own pairings returns sigma.  The c1 part is
+    sum_w sigma_w * (det S_j * O_w): the truncated solve is K_T(pt)[q]-linear,
+    so each column det S_j * O_w is solved through the metric once per
+    (space, j, vanishing rule, bound) and cached, and only the columns sigma
+    touches are ever solved.
+    """
+    space = oracle.space
+    if not isinstance(sigma, QKElement) or sigma.space != space:
+        raise ValueError("the element must live on the oracle's space")
+    if sigma.basis != "B":
+        raise ValueError("products expect coordinates in the O_w basis")
+    if sigma.bound != bound:
+        raise ValueError("truncation bounds disagree")
+    c0, c1, j = _parse_line_arg(oracle, L)
+    if c1.is_zero():
+        return sigma * c0
+    _check_licence(oracle, j)
+    dropped = j in oracle.drop_vanishing
+    acc = QKElement(space, "B", bound, {})
+    for w, qs in sigma.coords.items():
+        acc = acc + _det_column(space, j, dropped, bound, w) * qs
+    return sigma * c0 + acc * c1
 
 
 @lru_cache(maxsize=None)
@@ -476,18 +484,13 @@ def _line_matrix(space: FlagSpace, parsed, dropped: bool, bound: int):
     order with an invertible restriction on the diagonal, which is what
     makes the operator invertible within the truncation."""
     c0, c1, j = parsed
-    oracle = GWOracle(
-        "incidence-proven" if space.is_incidence else
-        "grassmannian-proven" if space.k == 1 else "full-flag-conjectural",
-        space,
-        drop_vanishing=(j,) if dropped else (),
-    )
     reps = min_coset_reps(space)
     index = {u: i for i, u in enumerate(reps)}
     cols = {}
     for w in reps:
-        col = line_bundle_product(oracle, ("affine", c0, c1, j),
-                                  basis_element(space, w, bound), bound)
+        col = basis_element(space, w, bound) * c0
+        if not c1.is_zero():
+            col = col + _det_column(space, j, dropped, bound, w) * c1
         for u, qs in col.coords.items():
             c = qs.constant_term()
             if not c.is_zero() and index[u] > index[w]:
@@ -511,6 +514,8 @@ def line_bundle_solve(oracle: GWOracle, L, sigma: QKElement,
     if sigma.basis != "B" or sigma.bound != bound:
         raise ValueError("division expects O_w coordinates at the same bound")
     c0, c1, j = _parse_line_arg(oracle, L)
+    if not c1.is_zero():
+        _check_licence(oracle, j)
     cols = _line_matrix(space, (c0, c1, j), j in oracle.drop_vanishing, bound)
     reps = min_coset_reps(space)
     diag = {}
@@ -582,7 +587,7 @@ def verify_qk_whitney(space: FlagSpace, bound: int,
     sub1 = [bundle_class(space, 1, m) for m in range(n + 1)]
     quot = [bundle_quotient_class(space, 1, m) for m in range(n)]
     det2 = det_class(space, 2)
-    e_top = RationalFunction.of(_t_elem(n, n), n)
+    e_top = RationalFunction.of(t_elem(n, n), n)
 
     def embed(cls):
         return embed_classical(cls, bound)
@@ -602,7 +607,7 @@ def verify_qk_whitney(space: FlagSpace, bound: int,
                         "w": list(w), "d": list(d), "y_power": m,
                     })
             for ell in range(1, n + 1):
-                mid = scalar_class(space, _t_elem(n, ell)) - sub2[ell]
+                mid = scalar_class(space, t_elem(n, ell)) - sub2[ell]
                 lhs = gw3_divisor(oracle, ("det", 2), mid, w, d)
                 inner = gw2(sub2[ell - 1], w, d)
                 if d[1] > 0:
@@ -628,7 +633,7 @@ def verify_qk_whitney(space: FlagSpace, bound: int,
         _diff_witnesses(witnesses, "sub-line-products", lhs, rhs, m)
 
     for ell in range(1, n + 1):
-        mid = embed(scalar_class(space, _t_elem(n, ell)) - sub2[ell])
+        mid = embed(scalar_class(space, t_elem(n, ell)) - sub2[ell])
         lhs = line_bundle_product(oracle, ("det", 2), mid, bound)
         rhs = (embed(sub2[ell - 1]) - embed(sub1[ell - 1]) * q2) * e_top
         _diff_witnesses(witnesses, "det-wedge-products", lhs, rhs, ell)
@@ -639,10 +644,10 @@ def verify_qk_whitney(space: FlagSpace, bound: int,
     # multiplying the candidate by det S_2 must reproduce the product the
     # table gives directly, and the candidates then assemble into the
     # corrected series identity.
-    quotline = scalar_class(space, _t_elem(n, 1)) - sub2[1]
+    quotline = scalar_class(space, t_elem(n, 1)) - sub2[1]
     cross = line_bundle_product(oracle, ("sub1",), embed(quotline), bound)
     for ell in range(1, n + 1):
-        cand = embed(scalar_class(space, _t_elem(n, ell)) - sub2[ell]) * (one_q - q2)
+        cand = embed(scalar_class(space, t_elem(n, ell)) - sub2[ell]) * (one_q - q2)
         if ell == 1:
             cand = cand + embed(quotline) * q2
         elif ell == 2:
@@ -651,7 +656,7 @@ def verify_qk_whitney(space: FlagSpace, bound: int,
         rhs = embed(sub2[ell - 1]) * ((one_q - q2) * e_top)
         _diff_witnesses(witnesses, "quotient-series-rearrangement", lhs, rhs, ell)
         assembled = embed(sub2[ell]) + cand
-        target = embed(scalar_class(space, _t_elem(n, ell)))
+        target = embed(scalar_class(space, t_elem(n, ell)))
         corr = target - embed(sub2[ell])
         if ell == 1:
             corr = corr - embed(quotline)
@@ -770,7 +775,7 @@ def conjectural_product_fln(n: int, bound: int):
             inner = embed(bundle_class(space, i, ell - 1)) \
                 - embed(bundle_class(space, i - 1, ell - 1)) * q[i]
             if i + 1 == n:
-                rhs = inner * RationalFunction.of(_t_elem(n, n), n)
+                rhs = inner * RationalFunction.of(t_elem(n, n), n)
             else:
                 rhs = line_bundle_product(oracle, ("det", i + 1), inner, bound)
             _diff_witnesses(witnesses, "det-wedge-products", lhs, rhs, ell)

@@ -8,7 +8,7 @@ the stated time caps are asserted where the criterion carries one.
 import itertools
 import time
 
-from qkflag.algebra import QSeries, RationalFunction
+from qkflag.algebra import QSeries, RationalFunction, t_elem
 from qkflag.curves import curve_neighborhood_schubert, incidence_neighborhood_label
 from qkflag.ktheory import (
     bundle_quotient_class,
@@ -18,7 +18,6 @@ from qkflag.ktheory import (
     schubert_class,
 )
 from qkflag.presentation import (
-    _t_elem,
     coulomb_equivalence,
     groebner_dimension,
     ideal_generators,
@@ -163,9 +162,10 @@ def test_criterion_07_three_step_golden_presentation():
     one = pres_one(space)
     q1 = pres_q(space, 1)
     q2 = pres_q(space, 2)
-    e1 = pres_scalar(space, _t_elem(space, 1))
-    e2 = pres_scalar(space, _t_elem(space, 2))
-    e3 = pres_scalar(space, _t_elem(space, 3))
+    nv = space.n + space.k  # the T's, then q1, q2
+    e1 = pres_scalar(space, t_elem(3, 1, nv))
+    e2 = pres_scalar(space, t_elem(3, 2, nv))
+    e3 = pres_scalar(space, t_elem(3, 3, nv))
     golden = [
         x1 + y1 - a1,
         x1 * y1 - (one - q1) * a2,

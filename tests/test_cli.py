@@ -1,5 +1,6 @@
 """Dispatch-level tests for the command-line front end."""
 
+import functools
 import hashlib
 import json
 
@@ -228,6 +229,18 @@ def test_no_oracle_space_rejected(capsys):
     ("verify", "mystery", "--n", "3"),
     ("nosuch",),
     (),
+    # --qdeg and --coeffs are checked on every subcommand
+    ("schubert", "--n", "3", "--w", "213", "--qdeg", "-5",
+     "--coeffs", "seed:zzz"),
+    ("schubert", "--n", "3", "--w", "213", "--qdeg", "-5"),
+    ("table", "--n", "3", "--qdeg", "two"),
+    ("curve-nbhd", "--n", "3", "--w", "213", "--d", "1,0",
+     "--coeffs", "seed:-1"),
+    ("product", "--n", "3", "--L", "detS2", "--sigma", "one",
+     "--coeffs", "seed:18446744073709551616"),   # 2**64, not a u64
+    ("verify", "flag-reduction", "--n", "3", "--qdeg", "-1"),
+    ("gw", "--n", "3", "--type", "2pt", "--sigma", "one", "--w", "123",
+     "--d", "0,0", "--coeffs", "seed:"),
 ])
 def test_usage_errors_exit_2(capsys, argv):
     code, out, err = run(capsys, *argv)
@@ -244,6 +257,10 @@ def test_internal_error_exits_4(capsys, monkeypatch):
         return {u: {v: zero for v in reps} for u in reps}
 
     monkeypatch.setattr(qkflag.qk, "quantum_gram", broken_gram)
+    # solved columns are cached; start from an empty cache so that the
+    # product really reads the broken metric
+    monkeypatch.setattr(qkflag.qk, "_det_column", functools.lru_cache(
+        maxsize=None)(qkflag.qk._det_column.__wrapped__))
     code, out, err = run(capsys, "product", "--n", "3", "--L", "detS2",
                          "--sigma", "O:213")
     assert code == 4

@@ -11,7 +11,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qkflag.algebra import LaurentPolynomial, QSeries, RationalFunction, elem_sym
+from qkflag import qk
+from qkflag.algebra import LaurentPolynomial, QSeries, RationalFunction, t_elem
 from qkflag.curves import curve_neighborhood_schubert
 from qkflag.ktheory import (
     bundle_class,
@@ -32,6 +33,7 @@ from qkflag.qk import (
     gw2,
     gw3_divisor,
     line_bundle_product,
+    line_bundle_solve,
     quantum_gram,
     verify_flag_reduction,
     verify_qk_whitney,
@@ -48,10 +50,6 @@ from qkflag.weyl import (
 FL3 = FlagSpace(3, (1, 2))
 FL134 = FlagSpace(4, (1, 3))
 GR24 = FlagSpace(4, (2,))
-
-
-def t_elem(n, ell):
-    return elem_sym([LaurentPolynomial.variable(n, a) for a in range(1, n + 1)], ell)
 
 
 def rf(x, n):
@@ -291,6 +289,24 @@ def test_products_commute():
         assert ab == ba
 
 
+def _whole_vector_det_product(space, j, sigma, bound):
+    # reference for det S_j * sigma: one metric solve against sigma's summed
+    # pairings, not a sum of per-basis-element columns
+    k, n = space.k, space.n
+    table = qk._divisor_table(space, j, False, bound)
+    b = {}
+    for u in min_coset_reps(space):
+        acc = QSeries.zero(k, n, bound)
+        for w, qs in sigma.coords.items():
+            acc = acc + qs * table[w][u]
+        b[u] = acc
+    out = QKElement(space, "B", bound, {})
+    for v, qs in qk._gram_solve(space, bound, b).items():
+        coords = {u: qs * c for u, c in qk._classical_change(space)[v].items()}
+        out = out + QKElement(space, "B", bound, coords)
+    return out
+
+
 @settings(max_examples=12, deadline=None)
 @given(a=st.integers(-3, 3), b=st.integers(-3, 3),
        iu=st.integers(0, 5), iv=st.integers(0, 5))
@@ -303,6 +319,68 @@ def test_line_bundle_product_is_linear(a, b, iu, iv):
     rhs = line_bundle_product(oracle, ("det", 2), basis_element(FL3, u, 1), 1) * a \
         + line_bundle_product(oracle, ("det", 2), basis_element(FL3, v, 1), 1) * b
     assert lhs == rhs
+    # products are sums of cached columns, so linearity alone is built in;
+    # compare with a single solve of the combined pairings as well
+    assert lhs == _whole_vector_det_product(FL3, 2, sigma, 1)
+
+
+def _mixed_element(space, cls, bound):
+    # a class with several O_w coordinates plus a q_1 multiple of a basis
+    # element, so that products mix columns and degrees
+    w = min_coset_reps(space)[1]
+    q1 = QSeries.q(space.k, space.n, bound, 1)
+    sigma = embed_classical(cls, bound) + basis_element(space, w, bound) * q1
+    assert len(sigma.coords) > 1
+    return sigma
+
+
+def _truncate(el, bound):
+    k, n = el.space.k, el.space.n
+    return QKElement(el.space, el.basis, bound, {
+        w: QSeries(k, n, bound, {d: c for d, c in qs.coeffs.items() if max(d) <= bound})
+        for w, qs in el.coords.items()})
+
+
+MIXED_CASES = [
+    (FL3, ("det", 2), bundle_class(FL3, 2, 1)),
+    (FL3, ("det", 1), bundle_quotient_class(FL3, 1, 1)),
+    (FL134, ("det", 1), bundle_quotient_class(FL134, 1, 2)),
+    (FL134, ("sub1",), bundle_class(FL134, 2, 2)),
+]
+
+
+def test_line_bundle_solve_inverts_products():
+    # the solve substitutes through the operator's columns in reverse basis
+    # order, so the round trip cross-checks the summed product columns
+    for space, L, cls in MIXED_CASES:
+        oracle = GWOracle("incidence-proven", space)
+        for bound in (1, 2):
+            sigma = _mixed_element(space, cls, bound)
+            prod = line_bundle_product(oracle, L, sigma, bound)
+            assert line_bundle_solve(oracle, L, prod, bound) == sigma
+
+
+def test_products_are_compatible_with_truncation():
+    for space, L, cls in MIXED_CASES:
+        oracle = GWOracle("incidence-proven", space)
+        high = line_bundle_product(oracle, L, _mixed_element(space, cls, 2), 2)
+        low = line_bundle_product(oracle, L, _mixed_element(space, cls, 1), 1)
+        assert _truncate(high, 1) == low
+
+
+def test_mutated_oracle_caught_after_proven_columns_are_cached():
+    # solved columns are cached per vanishing rule: warming the det S_2
+    # columns with the proven oracle must not hide the mutated one
+    proven = GWOracle("incidence-proven", FL134)
+    for w in min_coset_reps(FL134):
+        line_bundle_product(proven, ("det", 2), basis_element(FL134, w, 2), 2)
+    report = verify_qk_whitney(FL134, 2, negative_control=True)
+    assert report["status"] == "FAIL"
+    assert all(wit["d"][1] > 0 for wit in report["witnesses"])
+    # the invariant-level relations read no cached column; the product-level
+    # ones must fail too
+    relations = {wit["relation"] for wit in report["witnesses"]}
+    assert {"det-wedge-products", "quotient-series-rearrangement"} <= relations
 
 
 def test_oracle_licensing():
