@@ -13,8 +13,6 @@ from .algebra import (
     RationalFunction,
     elem_sym,
     qs_inverse,
-    qs_mul,
-    rf_arith,
 )
 from .weyl import FlagSpace, min_coset_reps, z_d
 from .ktheory import (
@@ -26,7 +24,6 @@ from .ktheory import (
     demazure_word,
     euler_char,
     expand_schubert,
-    lambda_y,
     schubert_class,
 )
 from .curves import class_neighborhood, curve_neighborhood_schubert
@@ -51,7 +48,6 @@ from .presentation import (
     coulomb_equivalence,
     groebner_dimension,
     ideal_generators,
-    ideal_to_json,
     pres_names,
     pres_one,
     pres_q,

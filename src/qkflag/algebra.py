@@ -81,16 +81,8 @@ class LaurentPolynomial:
     def is_one(self) -> bool:
         return self.terms == {(0,) * self.nvars: 1}
 
-    def is_constant(self) -> bool:
-        return not self.terms or self.terms.keys() == {(0,) * self.nvars}
-
     def is_monomial(self) -> bool:
         return len(self.terms) == 1
-
-    def constant_value(self) -> int:
-        if not self.terms:
-            return 0
-        return self.terms[(0,) * self.nvars]
 
     # -- ring operations ---------------------------------------------------
 
@@ -219,12 +211,6 @@ class LaurentPolynomial:
             if g == 1:
                 return 1
         return g
-
-    def degree_in(self, i: int) -> int:
-        """Max exponent of 1-based variable i (0 for the zero poly)."""
-        if not self.terms:
-            return 0
-        return max(e[i - 1] for e in self.terms)
 
 
 def divexact(a: LaurentPolynomial, b: LaurentPolynomial) -> LaurentPolynomial:
@@ -623,29 +609,6 @@ def t_elem(n: int, ell: int, nvars: int | None = None) -> LaurentPolynomial:
     return elem_sym([LaurentPolynomial.variable(nv, a) for a in range(1, n + 1)], ell)
 
 
-def rf_arith(a: RationalFunction, b: RationalFunction, op: str) -> RationalFunction:
-    """Field arithmetic on rational functions: op in add|sub|mul|div."""
-    if op == "add":
-        return a + b
-    if op == "sub":
-        return a - b
-    if op == "mul":
-        return a * b
-    if op == "div":
-        if b.is_zero():
-            raise ZeroDivisionError("division by zero")
-        return a / b
-    raise ValueError(f"unknown op {op!r}")
-
-
-def qs_mul(a: QSeries, b: QSeries) -> QSeries:
-    """Truncated Cauchy product; shapes must agree."""
-    if not isinstance(b, QSeries):
-        raise TypeError("qs_mul expects two q-series")
-    a._check(b)
-    return a * b
-
-
 def qs_inverse(a: QSeries) -> QSeries:
     """Two-sided inverse within the truncation; needs a nonzero constant term."""
     c = a.constant_term()
@@ -845,7 +808,3 @@ class _Parser:
 def parse_rational(text: str, names: list[str]) -> RationalFunction:
     """Parse the stable text grammar back into a rational function."""
     return _Parser(text, names).parse()
-
-
-def parse_laurent(text: str, names: list[str]) -> LaurentPolynomial:
-    return parse_rational(text, names).as_laurent()

@@ -78,15 +78,16 @@ def _build_parser():
         subs[name] = sub.add_parser(name, **kw)
         return subs[name]
 
-    def common(p, ranks=True):
+    def common(p):
         p.add_argument("--n", type=int, required=True, help="ambient dimension n")
-        if ranks:
-            p.add_argument("--ranks", type=str, default=None,
-                           help="comma-separated subbundle ranks; omit for the full flag")
+        p.add_argument("--ranks", type=str, default=None,
+                       help="comma-separated subbundle ranks; omit for the full flag")
         p.add_argument("--qdeg", type=_qdeg, default=2,
                        help="componentwise q-degree truncation (default 2)")
         p.add_argument("--coeffs", type=_coeff_mode, default="seed:0",
                        help="coefficient mode: exact or seed:<u64> (default seed:0)")
+
+    def conditional(p):
         p.add_argument("--conditional", action="store_true",
                        help="allow conjecture-assumed complete-flag products")
 
@@ -102,6 +103,7 @@ def _build_parser():
 
     p = add_parser("gw", help="K-theoretic Gromov-Witten invariant")
     common(p)
+    conditional(p)
     p.add_argument("--type", type=str, required=True, choices=("2pt", "3pt"))
     p.add_argument("--sigma", type=str, required=True, help="class descriptor")
     p.add_argument("--w", type=str, required=True)
@@ -111,6 +113,7 @@ def _build_parser():
 
     p = add_parser("product", help="quantum product by a line bundle")
     common(p)
+    conditional(p)
     p.add_argument("--L", type=str, required=True)
     p.add_argument("--sigma", type=str, required=True)
 
@@ -137,7 +140,7 @@ def _get_space(args, parser) -> FlagSpace:
     n = args.n
     if n < 2:
         parser.error("--n must be at least 2")
-    ranks = getattr(args, "ranks", None)
+    ranks = args.ranks
     if ranks is None:
         ranks = tuple(range(1, n))
     else:
@@ -363,6 +366,8 @@ def _cmd_verify_incidence(args, parser):
 
 
 def _cmd_verify_flag_reduction(args, parser):
+    if args.ranks is not None:
+        parser.error("verify flag-reduction runs on the complete flags; drop --ranks")
     if args.n < 3:
         parser.error("flag reduction starts at n = 3")
     space = FlagSpace(args.n, tuple(range(1, args.n)))
@@ -374,6 +379,8 @@ def _cmd_verify_flag_reduction(args, parser):
 
 
 def _cmd_verify_coulomb(args, parser):
+    if args.ranks is not None:
+        parser.error("verify coulomb runs on Fl(1,n-1;n); drop --ranks")
     if args.n < 3:
         parser.error("the incidence variety needs n >= 3")
     space = FlagSpace(args.n, (1, args.n - 1))

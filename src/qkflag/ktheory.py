@@ -27,7 +27,6 @@ from .algebra import (
     RationalFunction,
     divexact,
     elem_sym,
-    render_rational,
 )
 from .weyl import (
     FlagSpace,
@@ -180,46 +179,6 @@ def det_class(space: FlagSpace, j: int) -> KClass:
     """Determinant line of S_j, the top exterior power."""
     r = space.ranks[j - 1] if j <= space.k else space.n
     return bundle_class(space, j, r)
-
-
-@dataclass(frozen=True)
-class LambdaPoly:
-    """Coefficient list of a Hirzebruch lambda_y class, degree 0 to the rank."""
-
-    coeffs: tuple
-
-    @property
-    def rank(self) -> int:
-        return len(self.coeffs) - 1
-
-    def __mul__(self, other):
-        if not isinstance(other, LambdaPoly):
-            return NotImplemented
-        space = self.coeffs[0].space
-        out = []
-        for m in range(self.rank + other.rank + 1):
-            acc = zero_class(space)
-            for a in range(m + 1):
-                if a <= self.rank and m - a <= other.rank:
-                    acc = acc + self.coeffs[a] * other.coeffs[m - a]
-            out.append(acc)
-        return LambdaPoly(tuple(out))
-
-
-def lambda_y(space: FlagSpace, kind: str, j: int) -> LambdaPoly:
-    """lambda_y of S_j (kind "sub") or of S_{j+1}/S_j (kind "quot")."""
-    edges = _block_edges(space)
-    if kind == "sub":
-        if not 0 <= j <= space.k + 1:
-            raise ValueError(f"no tautological bundle with index {j}")
-        rank = edges[j]
-        coeffs = [bundle_class(space, j, ell) for ell in range(rank + 1)] if j else [one_class(space)]
-    elif kind == "quot":
-        rank = edges[j + 1] - edges[j]
-        coeffs = [bundle_quotient_class(space, j, ell) for ell in range(rank + 1)]
-    else:
-        raise ValueError("kind must be 'sub' or 'quot'")
-    return LambdaPoly(tuple(coeffs))
 
 
 # -- Demazure operators -----------------------------------------------------
@@ -443,27 +402,3 @@ def pullback(sigma: KClass) -> KClass:
     full = FlagSpace.full(space.n)
     vals = {u: sigma.values[coset_min(space, u)] for u in min_coset_reps(full)}
     return KClass(full, vals)
-
-
-def restrict_to_space(space: FlagSpace, sigma: KClass, check: bool = False) -> KClass:
-    """Read a complete-flag class off on the fixed points of a partial flag.
-
-    With check=True the class is verified to be constant on the cosets, the
-    condition for it to be a pullback.
-    """
-    if not sigma.space.is_full or sigma.space.n != space.n:
-        raise ValueError("restriction starts from the complete flag variety")
-    if check:
-        for u in min_coset_reps(sigma.space):
-            if sigma.values[u] != sigma.values[coset_min(space, u)]:
-                raise ValueError("class is not constant on cosets")
-    vals = {w: sigma.values[w] for w in min_coset_reps(space)}
-    return KClass(space, vals)
-
-
-def serialize_class(sigma: KClass) -> list:
-    """JSON-ready form: one entry per fixed point, in the canonical order."""
-    out = []
-    for w in min_coset_reps(sigma.space):
-        out.append({"w": list(w), "value": render_rational(sigma.values[w])})
-    return out

@@ -37,7 +37,6 @@ from .algebra import (
     default_names,
     divexact,
     qs_inverse,
-    qs_mul,
     render_rational,
     t_elem,
 )
@@ -326,17 +325,6 @@ class IdealSpec:
     generators: tuple
 
 
-def ideal_to_json(spec: IdealSpec) -> dict:
-    return {
-        "flavor": spec.flavor,
-        "space": {"n": spec.space.n, "ranks": list(spec.space.ranks)},
-        "variables": list(spec.generators[0].names if spec.generators
-                          else pres_names(spec.space)),
-        "scalars": _coeff_names(spec.space),
-        "generators": [render_pres(g) for g in spec.generators],
-    }
-
-
 def ideal_generators(space: FlagSpace, flavor: str) -> IdealSpec:
     """The defining relations of the chosen presentation flavor.
 
@@ -622,17 +610,6 @@ def _eval_fraction(c: RationalFunction, tvals: list, n: int) -> Fraction:
     return ev(c.num) / den
 
 
-def _project_t(c: RationalFunction, n: int) -> RationalFunction:
-    def proj(p):
-        terms = {}
-        for e, co in p.terms.items():
-            if any(e[n:]):
-                raise ValueError("quantum parameters survived specialization")
-            terms[e[:n]] = co
-        return LaurentPolynomial(n, terms)
-    return RationalFunction(proj(c.num), proj(c.den))
-
-
 def groebner_dimension(spec: IdealSpec, seeds: tuple = (0, 1),
                        exact: bool = False) -> int:
     """Dimension over the function field of the quotient by the ideal at q=0.
@@ -645,15 +622,17 @@ def groebner_dimension(spec: IdealSpec, seeds: tuple = (0, 1),
     """
     if not spec.generators:
         raise ValueError("empty ideal")
-    n = spec.space.n
+    n, k = spec.space.n, spec.space.k
     gens0 = [pres_q0(g) for g in spec.generators]
     nv = len(spec.generators[0].names)
     if exact:
         if n > 3:
             raise ValueError("exact coefficient mode is supported for n <= 3")
+        q0 = (0,) * k
         polys = []
         for g in gens0:
-            p = {e: _project_t(c, n) for e, c in g.terms.items()}
+            p = {e: RationalFunction(_split_q(c.num, n, k)[q0], _split_q(c.den, n, k)[q0])
+                 for e, c in g.terms.items()}
             if p:
                 polys.append(p)
         d = _quotient_dimension(_buchberger(polys), nv)
@@ -726,8 +705,8 @@ def coulomb_equivalence(space: FlagSpace, negative_control: bool = False) -> dic
     line divided by (1 - q_2).  After clearing denominators each transformed
     relation must lie in the quantized Whitney ideal up to further (1 - q_j)
     unit factors, since those are invertible wherever the presentations are
-    compared.  Membership is decided by exact symbolic reduction, falling
-    back to a Groebner basis when plain reduction leaves a remainder.
+    compared.  Membership is decided by exact reduction modulo a Groebner
+    basis of the Whitney ideal.
     ``negative_control`` omits the 1/(1 - q_1) factor, which must break
     membership.
     """
@@ -746,9 +725,8 @@ def coulomb_equivalence(space: FlagSpace, negative_control: bool = False) -> dic
             img = img * inv1
         images[f"eXbar1_{ell}"] = img
     images["Xbar2_1"] = pres_var(space, "eY2_1") * inv2
-    raw = [(_lt(g), g) for g in (_gb_from_pres(t) for t in target.generators) if g]
+    basis = _buchberger([_gb_from_pres(t) for t in target.generators])
     names = list(pres_names(space)) + [f"q{j}" for j in range(1, k + 1)]
-    basis = None
     witnesses = []
     # Membership is meant in the ring where the (1 - q_j) are invertible, so
     # a relation counts as a member when some small product of those units
@@ -766,10 +744,6 @@ def coulomb_equivalence(space: FlagSpace, negative_control: bool = False) -> dic
             scaled.append(_gb_from_pres(q))
         if not scaled[0]:
             continue
-        if any(not _reduce_full(p, raw) for p in scaled):
-            continue
-        if basis is None:
-            basis = _buchberger([g2 for _, g2 in raw])
         if any(not _reduce_full(p, basis) for p in scaled):
             continue
         witnesses.append({
@@ -793,7 +767,7 @@ def _series_of_coeff(c: RationalFunction, space: FlagSpace, bound: int) -> QSeri
                   {qe: RationalFunction(p) for qe, p in _split_q(c.num, n, k).items()})
     den = QSeries(k, n, bound,
                   {qe: RationalFunction(p) for qe, p in _split_q(c.den, n, k).items()})
-    return qs_mul(num, qs_inverse(den))
+    return num * qs_inverse(den)
 
 
 def psi_evaluate(gen: PresPoly, bound: int) -> QKElement:

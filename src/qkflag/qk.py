@@ -506,7 +506,8 @@ def line_bundle_solve(oracle: GWOracle, L, sigma: QKElement,
     Line bundle classes are units, so the product operator is invertible:
     its classical part is triangular with unit monomials on the diagonal,
     so rows are solved in reverse basis order, dividing by the diagonal,
-    and the quantum corrections are handled degree by degree.
+    and the quantum corrections are handled degree by degree.  The opposite
+    divisor class is refused: it vanishes at the identity coset.
     """
     space = oracle.space
     if not isinstance(sigma, QKElement) or sigma.space != space:
@@ -514,6 +515,9 @@ def line_bundle_solve(oracle: GWOracle, L, sigma: QKElement,
     if sigma.basis != "B" or sigma.bound != bound:
         raise ValueError("division expects O_w coordinates at the same bound")
     c0, c1, j = _parse_line_arg(oracle, L)
+    if L[0] == "opposite":
+        raise ValueError("the opposite divisor class vanishes at the identity "
+                         "coset, so it is not a unit")
     if not c1.is_zero():
         _check_licence(oracle, j)
     cols = _line_matrix(space, (c0, c1, j), j in oracle.drop_vanishing, bound)

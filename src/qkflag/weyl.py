@@ -16,7 +16,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
-from math import factorial
 
 Perm = tuple[int, ...]
 Degree = tuple[int, ...]
@@ -64,15 +63,6 @@ def right_mul(w: Perm, i: int) -> Perm:
     """w * s_i: swap the entries at positions i and i+1."""
     out = list(w)
     out[i - 1], out[i] = out[i], out[i - 1]
-    return tuple(out)
-
-
-def left_mul(w: Perm, i: int) -> Perm:
-    """s_i * w: swap the values i and i+1."""
-    out = list(w)
-    p = out.index(i)
-    q = out.index(i + 1)
-    out[p], out[q] = out[q], out[p]
     return tuple(out)
 
 
@@ -236,15 +226,6 @@ class FlagSpace:
         """0-based slice bounds of the position blocks, last block included."""
         edges = (0,) + self.ranks + (self.n,)
         return tuple((edges[j], edges[j + 1]) for j in range(len(edges) - 1))
-
-    def fixed_point_count(self) -> int:
-        count = factorial(self.n)
-        for a, b in self.block_bounds():
-            count //= factorial(b - a)
-        return count
-
-    def zero_degree(self) -> Degree:
-        return (0,) * self.k
 
 
 def coset_min(space: FlagSpace, w: Perm) -> Perm:

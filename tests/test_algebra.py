@@ -12,14 +12,11 @@ from qkflag.algebra import (
     RationalFunction,
     divexact,
     elem_sym,
-    parse_laurent,
     parse_rational,
     poly_gcd,
     qs_inverse,
-    qs_mul,
     render_laurent,
     render_rational,
-    rf_arith,
 )
 
 
@@ -160,7 +157,7 @@ def test_gcd_binomial_power():
 def test_inverse_pair_cancels():
     a = RationalFunction(T(1), T(2))
     b = RationalFunction(T(2), T(1))
-    assert rf_arith(a, b, "mul").is_one()
+    assert (a * b).is_one()
 
 
 def test_localization_identity_sums_to_one():
@@ -169,7 +166,7 @@ def test_localization_identity_sums_to_one():
     one = RationalFunction.of(1, 2)
     f = one / (one - rf_T(1) / rf_T(2))
     g = one / (one - rf_T(2) / rf_T(1))
-    total = rf_arith(f, g, "add")
+    total = f + g
     assert total.is_one()
     # cross-multiplication oracle, no canonicalization involved
     lhs = f.num * g.den + g.num * f.den
@@ -181,13 +178,13 @@ def test_rf_subtraction_vanishes(n, d):
     if d.is_zero():
         return
     a = RationalFunction(n, d)
-    assert rf_arith(a, a, "sub").is_zero()
+    assert (a - a).is_zero()
 
 
 def test_rf_division_by_zero_raises():
     a = RationalFunction.of(3, 2)
     with pytest.raises(ZeroDivisionError):
-        rf_arith(a, RationalFunction.of(0, 2), "div")
+        a / RationalFunction.of(0, 2)
 
 
 def test_canonicalization_thousand_random_pairs():
@@ -238,7 +235,7 @@ def test_geometric_series_truncates_to_one():
     q1 = QSeries.q(1, 1, 2, 1)
     a = one - q1
     b = one + q1 + q1 * q1
-    assert qs_mul(a, b) == one
+    assert a * b == one
 
 
 def test_qs_identity_element():
@@ -248,7 +245,7 @@ def test_qs_identity_element():
         p = _random_poly(rng, nvars=1)
         coeffs[d] = RationalFunction(p)
     a = QSeries(1, 1, 2, coeffs)
-    assert qs_mul(a, qs_one()) == a
+    assert a * qs_one() == a
 
 
 def test_qs_truncation_kills_top_degree():
@@ -259,7 +256,7 @@ def test_qs_truncation_kills_top_degree():
 
 def test_qs_mismatched_bounds_rejected():
     with pytest.raises(ValueError):
-        qs_mul(QSeries.one(1, 1, 2), QSeries.one(1, 1, 3))
+        QSeries.one(1, 1, 2) * QSeries.one(1, 1, 3)
 
 
 def test_qs_inverse_geometric():
@@ -291,7 +288,7 @@ def test_qs_inverse_involution(bound):
         coeffs[(0, 0)] = RationalFunction(LaurentPolynomial.one(1) + T(1, 1))
         a = QSeries(2, 1, bound, coeffs)
         inv = qs_inverse(a)
-        assert qs_mul(a, inv) == QSeries.one(2, 1, bound)
+        assert a * inv == QSeries.one(2, 1, bound)
         assert qs_inverse(inv) == a
 
 
@@ -301,12 +298,12 @@ def test_qs_inverse_involution(bound):
 def test_render_and_parse_polynomial():
     p = 3 * T(1) ** 2 * T(2) ** -1 - T(2) + 1
     text = render_laurent(p)
-    assert parse_laurent(text, ["T1", "T2"]) == p
+    assert parse_rational(text, ["T1", "T2"]).as_laurent() == p
 
 
 def test_render_zero():
     assert render_laurent(LaurentPolynomial.zero(2)) == "0"
-    assert parse_laurent("0", ["T1", "T2"]).is_zero()
+    assert parse_rational("0", ["T1", "T2"]).as_laurent().is_zero()
 
 
 def test_parse_rational_with_slash():
@@ -318,9 +315,9 @@ def test_parse_rational_with_slash():
 
 def test_parse_rejects_unknown_variable():
     with pytest.raises(ValueError, match="unknown variable"):
-        parse_laurent("T3", ["T1", "T2"])
+        parse_rational("T3", ["T1", "T2"]).as_laurent()
 
 
 @given(laurent_polys(max_terms=4))
 def test_render_parse_roundtrip(p):
-    assert parse_laurent(render_laurent(p), ["T1", "T2"]) == p
+    assert parse_rational(render_laurent(p), ["T1", "T2"]).as_laurent() == p

@@ -1,8 +1,10 @@
 """Dispatch-level tests for the command-line front end."""
 
+import ast
 import functools
 import hashlib
 import json
+import pathlib
 
 import pytest
 
@@ -241,6 +243,13 @@ def test_no_oracle_space_rejected(capsys):
     ("verify", "flag-reduction", "--n", "3", "--qdeg", "-1"),
     ("gw", "--n", "3", "--type", "2pt", "--sigma", "one", "--w", "123",
      "--d", "0,0", "--coeffs", "seed:"),
+    # flags a subcommand would ignore are refused
+    ("schubert", "--n", "3", "--w", "213", "--conditional"),
+    ("table", "--n", "3", "--conditional"),
+    ("verify", "incidence", "--n", "3", "--conditional"),
+    ("verify", "coulomb", "--n", "3", "--ranks", "1"),
+    ("verify", "coulomb", "--n", "4", "--ranks", "1,3"),
+    ("verify", "flag-reduction", "--n", "3", "--ranks", "1,2"),
 ])
 def test_usage_errors_exit_2(capsys, argv):
     code, out, err = run(capsys, *argv)
@@ -266,6 +275,15 @@ def test_internal_error_exits_4(capsys, monkeypatch):
     assert code == 4
     assert out == ""
     assert "quantum metric solve failed" in err
+
+
+def test_library_has_no_assert_statements():
+    # python -O strips assert statements, so invariants must raise instead
+    src = pathlib.Path(qkflag.qk.__file__).parent
+    found = [f"{path.name}:{node.lineno}" for path in sorted(src.glob("*.py"))
+             for node in ast.walk(ast.parse(path.read_text()))
+             if isinstance(node, ast.Assert)]
+    assert found == []
 
 
 def test_help_exits_zero(capsys):

@@ -40,7 +40,7 @@ def degree_grid(k, bound):
 
 def test_zero_degree_is_identity():
     for space in [FlagSpace.full(3), FlagSpace(4, (1, 3)), FlagSpace(4, (2,))]:
-        zero = space.zero_degree()
+        zero = (0,) * space.k
         for w in min_coset_reps(space):
             assert curve_neighborhood_schubert(space, w, zero) == w
         sigma = bundle_class(space, 1, 1)

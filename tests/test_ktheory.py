@@ -14,13 +14,10 @@ import pytest
 from qkflag.algebra import (
     LaurentPolynomial,
     RationalFunction,
-    default_names,
     elem_sym,
-    parse_rational,
 )
 from qkflag.ktheory import (
     KClass,
-    LambdaPoly,
     bundle_class,
     bundle_quotient_class,
     demazure_op,
@@ -28,13 +25,10 @@ from qkflag.ktheory import (
     det_class,
     euler_char,
     expand_schubert,
-    lambda_y,
     one_class,
     pullback,
-    restrict_to_space,
     scalar_class,
     schubert_class,
-    serialize_class,
     zero_class,
 )
 from qkflag.weyl import (
@@ -252,10 +246,16 @@ def test_bundle_quotient_values():
 def test_whitney_sum_pointwise():
     spaces = small_spaces() + [FlagSpace(5, (2, 3)), FlagSpace(5, (1, 4)), FlagSpace.full(5)]
     for space in spaces:
+        edges = (0,) + space.ranks + (space.n,)
         for j in range(1, space.k + 2):
-            sub = lambda_y(space, "sub", j - 1) if j > 1 else LambdaPoly((one_class(space),))
-            quot = lambda_y(space, "quot", j - 1)
-            assert sub * quot == lambda_y(space, "sub", j)
+            # e_m(S_j) = sum_a e_a(S_{j-1}) e_{m-a}(S_j/S_{j-1})
+            quot_rank = edges[j] - edges[j - 1]
+            for m in range(edges[j] + 1):
+                rhs = zero_class(space)
+                for a in range(max(0, m - quot_rank), min(m, edges[j - 1]) + 1):
+                    sub = bundle_class(space, j - 1, a) if j > 1 else one_class(space)
+                    rhs = rhs + sub * bundle_quotient_class(space, j - 1, m - a)
+                assert bundle_class(space, j, m) == rhs
 
 
 def test_full_flag_wedge_recursion():
@@ -408,7 +408,7 @@ def test_full_flag_classes_are_coset_constant():
                 v = coset_min(space, u)
                 assert upper.at(u) == upper.at(v)
                 assert lower.at(u) == lower.at(v)
-        back = restrict_to_space(space, schubert_class(full, coset_max(space, w), "B"), check=True)
+        back = KClass(space, {v: lower.at(v) for v in min_coset_reps(space)})
         assert back == schubert_class(space, w, "B")
 
 
@@ -424,17 +424,6 @@ def test_pushforward_vanishing_for_intermediate_wedges():
                 assert euler_char(wedge * saturated) == rf(0, n)
 
 
-def test_lambda_poly_shape():
-    space = FlagSpace(4, (1, 3))
-    poly = lambda_y(space, "sub", 2)
-    assert poly.rank == 3
-    assert poly.coeffs[0] == one_class(space)
-    assert poly.coeffs[3] == det_class(space, 2)
-    quot = lambda_y(space, "quot", 2)
-    assert quot.rank == 1
-    assert quot.coeffs[1] == bundle_quotient_class(space, 2, 1)
-
-
 def test_schubert_class_rejects_non_minimal_representatives():
     space = FlagSpace(3, (1,))
     with pytest.raises(ValueError):
@@ -443,17 +432,6 @@ def test_schubert_class_rejects_non_minimal_representatives():
         schubert_class(space, (2, 1, 3), "nope")
     with pytest.raises(ValueError):
         demazure_op(1, one_class(space))
-
-
-def test_serialization_round_trip():
-    space = FlagSpace(4, (1, 3))
-    names = default_names(4)
-    cls = schubert_class(space, (2, 1, 3, 4), "B")
-    data = serialize_class(cls)
-    assert [tuple(entry["w"]) for entry in data] == min_coset_reps(space)
-    for entry in data:
-        w = tuple(entry["w"])
-        assert parse_rational(entry["value"], names) == cls.at(w)
 
 
 def test_kclass_arithmetic():

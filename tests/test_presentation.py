@@ -1,6 +1,7 @@
 """Presentation-level checks: ideal flavors, quotient dimensions, the
 critical-locus comparison, and evaluation into the localization model."""
 
+import hashlib
 import json
 
 import pytest
@@ -18,7 +19,6 @@ from qkflag import (
     embed_classical,
     groebner_dimension,
     ideal_generators,
-    ideal_to_json,
     min_coset_reps,
     pres_names,
     pres_one,
@@ -168,16 +168,6 @@ def test_unit_multiples_connect_the_quantum_flavors():
             assert series[n - 2 + m] * u2 == poly[n - 2 + m]
 
 
-def test_ideal_spec_serializes():
-    spec = ideal_generators(INC3, "quantum-polynomial")
-    doc = ideal_to_json(spec)
-    text = json.dumps(doc)
-    assert "eX2_2" in text
-    assert doc["flavor"] == "quantum-polynomial"
-    assert doc["space"] == {"n": 3, "ranks": [1, 2]}
-    assert len(doc["generators"]) == 5
-
-
 def test_render_is_stable():
     g = ideal_generators(INC3, "quantum-polynomial").generators[1]
     s = render_pres(g)
@@ -236,6 +226,15 @@ def test_coulomb_negative_control_fails():
         assert set(wit) == {"relation", "remainder"}
         assert wit["relation"].startswith("critical-locus-")
         assert wit["remainder"] != "0"
+
+
+def test_coulomb_negative_control_witnesses_pinned():
+    # the remainders are normal forms modulo the Groebner basis, so a change
+    # to the reduction path must reproduce them byte for byte
+    rep = coulomb_equivalence(INC3, negative_control=True)
+    assert [w["relation"] for w in rep["witnesses"]] == ["critical-locus-1", "critical-locus-2"]
+    digest = hashlib.sha256(json.dumps(rep["witnesses"], sort_keys=True).encode()).hexdigest()
+    assert digest == "0acc45ce3a0e66a51674193956e9b284580b55f0759fd3309915e7ac097fa395"
 
 
 def test_coulomb_needs_incidence():

@@ -360,6 +360,18 @@ def test_line_bundle_solve_inverts_products():
             assert line_bundle_solve(oracle, L, prod, bound) == sigma
 
 
+def test_line_bundle_solve_refuses_opposite_divisor():
+    # O^{s_r} vanishes at the identity coset, so it is not a unit: dividing
+    # by it is a usage error, not a failed internal invariant
+    for oracle in (GWOracle("incidence-proven", FL3),
+                   GWOracle("full-flag-conjectural", FL3),
+                   GWOracle("incidence-proven", FL134)):
+        sigma = embed_classical(one_class(oracle.space), 1)
+        for j in range(1, oracle.space.k + 1):
+            with pytest.raises(ValueError, match="not a unit"):
+                line_bundle_solve(oracle, ("opposite", j), sigma, 1)
+
+
 def test_products_are_compatible_with_truncation():
     for space, L, cls in MIXED_CASES:
         oracle = GWOracle("incidence-proven", space)

@@ -19,7 +19,6 @@ from qkflag.weyl import (
     identity,
     inverse,
     is_min_rep,
-    left_mul,
     length,
     longest_element,
     min_coset_reps,
@@ -64,7 +63,8 @@ def test_side_multiplication():
     for w in all_perms(4):
         for i in range(1, 4):
             assert right_mul(w, i) == compose(w, simple_reflection(4, i))
-            assert left_mul(w, i) == compose(simple_reflection(4, i), w)
+            swapped = tuple(i + 1 if x == i else i if x == i + 1 else x for x in w)
+            assert compose(simple_reflection(4, i), w) == swapped
 
 
 def test_length_counts_inversions():
@@ -98,7 +98,7 @@ def all_reduced_words(w):
         return
     n = len(w)
     for i in range(1, n):
-        wi = left_mul(w, i)
+        wi = compose(simple_reflection(n, i), w)
         if length(wi) < length(w):
             for rest in all_reduced_words(wi):
                 yield (i,) + rest
@@ -211,7 +211,6 @@ def test_min_coset_reps_count_is_multinomial():
         expect = math.factorial(n)
         for s in sizes:
             expect //= math.factorial(s)
-        assert space.fixed_point_count() == expect
         assert len(min_coset_reps(space)) == expect
 
 
