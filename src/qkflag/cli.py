@@ -82,9 +82,9 @@ def _build_parser():
         p.add_argument("--n", type=int, required=True, help="ambient dimension n")
         p.add_argument("--ranks", type=str, default=None,
                        help="comma-separated subbundle ranks; omit for the full flag")
-        p.add_argument("--qdeg", type=_qdeg, default=2,
+        p.add_argument("--qdeg", type=_qdeg, default=None,
                        help="componentwise q-degree truncation (default 2)")
-        p.add_argument("--coeffs", type=_coeff_mode, default="seed:0",
+        p.add_argument("--coeffs", type=_coeff_mode, default=None,
                        help="coefficient mode: exact or seed:<u64> (default seed:0)")
 
     def conditional(p):
@@ -125,6 +125,19 @@ def _build_parser():
     p = add_parser("table", help="curve neighborhood table")
     common(p)
     return top, subs
+
+
+def _apply_defaults(args, parser):
+    # only these commands read --qdeg and --coeffs; an explicit value
+    # anywhere else would be ignored, so it is refused
+    name = args.what if args.command == "verify" else args.command
+    for flag, default, readers in (
+            ("qdeg", 2, "product table incidence flag-reduction presentation"),
+            ("coeffs", "seed:0", "classical presentation")):
+        if getattr(args, flag) is None:
+            setattr(args, flag, default)
+        elif name not in readers.split():
+            parser.error(f"{name} does not read --{flag}; drop it")
 
 
 def _parse_ints(text: str, parser, what: str) -> tuple:
@@ -463,6 +476,7 @@ def dispatch(argv) -> int:
     try:
         args = top.parse_args(list(argv))
         parser = subs[args.command]
+        _apply_defaults(args, parser)
         if args.command == "verify":
             code, payload, summary = _VERIFY[args.what](args, parser)
         else:

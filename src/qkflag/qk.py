@@ -16,10 +16,14 @@ Products with a line bundle factor are defined through the quantum metric:
 L * sigma is the unique element whose pairings against the Schubert basis
 match the three-point column.  Each metric entry chi(O^v * O_g) is the Euler
 characteristic of a Richardson variety, which is 1 when v <= g in Bruhat
-order and 0 (the variety is empty) otherwise, so the metric is built from
-Bruhat order and curve-neighborhood labels alone.  It is unitriangular at
-q = 0, so the truncated system solves by back substitution with no
-division.  General products of two non-line-bundle classes are out of scope.
+order and 0 (the variety is empty) otherwise, so the degree-d metric
+factors as P_d * Z: P_d sends u to its curve-neighborhood label
+Gamma_d(u) and Z[g][v] = [v <= g] is the Bruhat indicator.  The
+three-point column factors through the same P_d, so products solve the
+factored system P y = P' b, where y holds the classical pairings of the
+product against the O_g.  P is the identity at q = 0, so the truncated
+system solves by substitution with no division.  General products of two
+non-line-bundle classes are out of scope.
 """
 
 from dataclasses import dataclass
@@ -131,12 +135,6 @@ def _divisor_char(oracle: GWOracle, j: int, sigma: KClass, w: Perm,
     return euler_char(det_class(space, j) * sigma * schubert_class(space, g, "B"))
 
 
-def _step_unit(space: FlagSpace, j: int, sign: int) -> LaurentPolynomial:
-    # (det S_j restricted at the identity coset)^sign, a unit of K_T(pt)
-    exp = tuple(sign if a < space.ranks[j - 1] else 0 for a in range(space.n))
-    return LaurentPolynomial.monomial(space.n, exp)
-
-
 def _parse_line_arg(oracle: GWOracle, L):
     """Reduce a supported line-bundle argument to c0 + c1 * det S_j.
 
@@ -161,8 +159,8 @@ def _parse_line_arg(oracle: GWOracle, L):
         j = L[1]
         if not 1 <= j <= space.k:
             raise ValueError(f"no flag step {j} on this space")
-        minv = _step_unit(space, j, -1)
-        return RationalFunction.of(1, n), RationalFunction.of(-minv, n), j
+        m_j = det_class(space, j).at(min_coset_reps(space)[0])
+        return RationalFunction.of(1, n), RationalFunction.of(-1, n) / m_j, j
     if kind == "affine" and len(L) == 4:
         return (RationalFunction.of(L[1], n), RationalFunction.of(L[2], n), L[3])
     raise ValueError(f"unsupported line bundle descriptor {L!r}")
@@ -186,6 +184,20 @@ def gw3_divisor(oracle: GWOracle, L, sigma: KClass, w: Perm,
 
 
 @lru_cache(maxsize=None)
+def _neighborhoods(space: FlagSpace, bound: int) -> dict:
+    """The labels (d, Gamma_d(u)) of each basis label u, in degree_box order:
+    the entries q^d of the factor P of the quantum metric.  Gamma_0(u) = u
+    makes P the identity at q = 0; a violation is an internal error."""
+    out = {}
+    for u in min_coset_reps(space):
+        out[u] = [(d, curve_neighborhood_schubert(space, u, d))
+                  for d in degree_box(space.k, bound)]
+        if out[u][0][1] != u:
+            raise RuntimeError(f"quantum metric solve failed: Gamma_0({u}) is not {u}")
+    return out
+
+
+@lru_cache(maxsize=None)
 def quantum_gram(space: FlagSpace, bound: int):
     """Pairings sum_{d <= bound} q^d <O_u, O^v>_d as a nested dict.
 
@@ -195,60 +207,34 @@ def quantum_gram(space: FlagSpace, bound: int):
     X^v meet X_g: it is 1 when v <= g in Bruhat order and 0 otherwise, so
     every coefficient is the 0/1 Bruhat indicator.  The constant term is
     the indicator of v <= u, which makes the matrix invertible within the
-    truncation.
+    truncation.  This is the dense form of the metric; products solve the
+    factored form P * Z instead (see _det_column).
     """
     reps = min_coset_reps(space)
     k, n = space.k, space.n
     one = RationalFunction.of(1, n)
-    gram = {}
-    for u in reps:
-        labels = [(d, curve_neighborhood_schubert(space, u, d))
-                  for d in degree_box(k, bound)]
-        gram[u] = {
-            v: QSeries(k, n, bound, {d: one for d, g in labels if bruhat_leq(v, g)})
-            for v in reps
-        }
-    return gram
-
-
-@lru_cache(maxsize=None)
-def _divisor_table(space: FlagSpace, j: int, dropped: bool, bound: int):
-    """sum_d q^d <det S_j, O_w, O_u>_d under the stated vanishing rule."""
-    reps = min_coset_reps(space)
-    k, n = space.k, space.n
-    det = det_class(space, j)
-    cache: dict = {}
-
-    def pair(w, g):
-        val = cache.get((w, g))
-        if val is None:
-            val = euler_char(det * schubert_class(space, w, "B") * schubert_class(space, g, "B"))
-            cache[(w, g)] = val
-        return val
-
-    table = {}
-    for u in reps:
-        labels = [(d, curve_neighborhood_schubert(space, u, d))
-                  for d in degree_box(k, bound)
-                  if d[j - 1] == 0 or dropped]
-        for w in reps:
-            coeffs = {}
-            for d, g in labels:
-                c = pair(w, g)
-                if not c.is_zero():
-                    coeffs[d] = c
-            table.setdefault(w, {})[u] = QSeries(k, n, bound, coeffs)
-    return table
-
-
-@lru_cache(maxsize=None)
-def _classical_change(space: FlagSpace):
-    """Coordinates of each opposite class O^v in the O_w basis; the entries
-    stay in K_T(pt) because both families are bases of the same module."""
     return {
-        v: expand_schubert(schubert_class(space, v, "B-"), "B")
-        for v in min_coset_reps(space)
+        u: {v: QSeries(k, n, bound, {d: one for d, g in labels if bruhat_leq(v, g)})
+            for v in reps}
+        for u, labels in _neighborhoods(space, bound).items()
     }
+
+
+@lru_cache(maxsize=None)
+def _dual_classes(space: FlagSpace) -> dict:
+    """O_w coordinates of the classes D_g with chi(D_g * O_h) = [g = h].
+
+    chi(O^g * O_h) = [g <= h] gives O^g = sum_{h >= g} D_h, so the D_g are
+    computed from the top down as D_g = O^g - sum_{h > g} D_h.
+    """
+    dual: dict = {}
+    for g in reversed(min_coset_reps(space)):
+        coords = expand_schubert(schubert_class(space, g, "B-"), "B")
+        for h, dh in dual.items():
+            if bruhat_leq(g, h):
+                coords = {u: c - dh[u] for u, c in coords.items()}
+        dual[g] = coords
+    return dual
 
 
 # -- quantum K elements -----------------------------------------------------
@@ -401,48 +387,41 @@ def _triangular_solve(space: FlagSpace, bound: int, rows: list, rhs: dict,
     return {r: QSeries(k, n, bound, sol[r]) for r in sol}
 
 
-def _gram_solve(space: FlagSpace, bound: int, b: dict) -> dict:
-    """Solve sum_v ((O_u, O^v)) s_v = b_u for the opposite-basis coordinates.
-
-    The constant term of the metric must be unitriangular; a violation is an
-    internal error, not a verification failure.  Rows are solved in basis
-    order and no division happens at all.
-    """
-    reps = min_coset_reps(space)
-    gram = quantum_gram(space, bound)
-    one = RationalFunction.of(1, space.n)
-    for i, u in enumerate(reps):
-        if gram[u][u].constant_term() != one:
-            raise RuntimeError("quantum metric solve failed: diagonal is not 1")
-        if any(not gram[u][v].constant_term().is_zero() for v in reps[i + 1:]):
-            raise RuntimeError("quantum metric solve failed: not unitriangular")
-    return _triangular_solve(space, bound, [(u, gram[u]) for u in reps], b)
-
-
 @lru_cache(maxsize=None)
 def _det_column(space: FlagSpace, j: int, dropped: bool, bound: int,
                 w: Perm) -> QKElement:
-    """det S_j * O_w through the metric, in the O_w basis.
+    """det S_j * O_w through the factored metric, in the O_w basis.
 
-    The pairings of the product against the basis are the w column of the
-    divisor table; solving the metric against them gives opposite-basis
-    coordinates, which the classical change of basis turns back into O_w
-    coordinates.  dropped selects the mutated vanishing rule on step j.
+    The metric is sum_d q^d P_d Z and the three-point column is
+    sum_d q^d P_d b over the degrees the vanishing rule allows, with
+    b_g = chi(det S_j * O_w * O_g).  So y = Z s solves P y = P' b: each row
+    u of P has the entry q^d at column Gamma_d(u), and P' keeps only the
+    allowed degrees.  y_g is the classical pairing of the product against
+    O_g, and the dual classes turn it into O_w coordinates.  dropped selects
+    the mutated vanishing rule on step j.
     """
-    div_w = _divisor_table(space, j, dropped, bound)[w]
-    sol = _gram_solve(space, bound, div_w)
-    change = _classical_change(space)
-    coords: dict = {}
-    for v, qs in sol.items():
-        if qs.is_zero():
-            continue
-        for u, c in change[v].items():
-            if c.is_zero():
-                continue
-            cur = coords.get(u)
-            term = qs * c
-            coords[u] = term if cur is None else cur + term
-    return QKElement(space, "B", bound, coords)
+    k, n = space.k, space.n
+    one = RationalFunction.of(1, n)
+    det_w = det_class(space, j) * schubert_class(space, w, "B")
+    b: dict = {}
+    rows, rhs = [], {}
+    for u, labels in _neighborhoods(space, bound).items():
+        entries: dict = {}
+        allowed = {}
+        for d, g in labels:
+            entries.setdefault(g, {})[d] = one
+            if d[j - 1] == 0 or dropped:
+                if g not in b:
+                    b[g] = euler_char(det_w * schubert_class(space, g, "B"))
+                allowed[d] = b[g]
+        rows.append((u, {g: QSeries(k, n, bound, c) for g, c in entries.items()}))
+        rhs[u] = QSeries(k, n, bound, allowed)
+    dual = _dual_classes(space)
+    out = QKElement(space, "B", bound, {})
+    for g, qs in _triangular_solve(space, bound, rows, rhs).items():
+        out = out + QKElement(space, "B", bound, {
+            u: qs * c for u, c in dual[g].items() if not c.is_zero()})
+    return out
 
 
 def line_bundle_product(oracle: GWOracle, L, sigma: QKElement,
@@ -455,9 +434,9 @@ def line_bundle_product(oracle: GWOracle, L, sigma: QKElement,
     L = c0 + c1 det S_j the c0 part is c0 * sigma outright, since solving
     the metric against sigma's own pairings returns sigma.  The c1 part is
     sum_w sigma_w * (det S_j * O_w): the truncated solve is K_T(pt)[q]-linear,
-    so each column det S_j * O_w is solved through the metric once per
-    (space, j, vanishing rule, bound) and cached, and only the columns sigma
-    touches are ever solved.
+    so each column det S_j * O_w is solved once per (space, j, vanishing
+    rule, bound) through the factored metric P * Z and cached, and only the
+    columns sigma touches are ever solved.
     """
     space = oracle.space
     if not isinstance(sigma, QKElement) or sigma.space != space:
@@ -506,8 +485,9 @@ def line_bundle_solve(oracle: GWOracle, L, sigma: QKElement,
     Line bundle classes are units, so the product operator is invertible:
     its classical part is triangular with unit monomials on the diagonal,
     so rows are solved in reverse basis order, dividing by the diagonal,
-    and the quantum corrections are handled degree by degree.  The opposite
-    divisor class is refused: it vanishes at the identity coset.
+    and the quantum corrections are handled degree by degree.  A class that
+    vanishes at some fixed point, such as the opposite divisor at the
+    identity coset, is not a unit and is refused.
     """
     space = oracle.space
     if not isinstance(sigma, QKElement) or sigma.space != space:
@@ -515,13 +495,16 @@ def line_bundle_solve(oracle: GWOracle, L, sigma: QKElement,
     if sigma.basis != "B" or sigma.bound != bound:
         raise ValueError("division expects O_w coordinates at the same bound")
     c0, c1, j = _parse_line_arg(oracle, L)
-    if L[0] == "opposite":
-        raise ValueError("the opposite divisor class vanishes at the identity "
-                         "coset, so it is not a unit")
     if not c1.is_zero():
         _check_licence(oracle, j)
-    cols = _line_matrix(space, (c0, c1, j), j in oracle.drop_vanishing, bound)
     reps = min_coset_reps(space)
+    for w in reps:
+        # the operator's diagonal entry at w is the restriction L|_w
+        value = c0 if c1.is_zero() else c0 + c1 * det_class(space, j).at(w)
+        if value.is_zero():
+            raise ValueError(f"{L!r} vanishes at the fixed point {w}, "
+                             "so it is not a unit")
+    cols = _line_matrix(space, (c0, c1, j), j in oracle.drop_vanishing, bound)
     diag = {}
     for w in reps:
         c = cols[w].at(w).constant_term()

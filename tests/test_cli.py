@@ -9,7 +9,6 @@ import pathlib
 import pytest
 
 import qkflag.qk
-from qkflag.algebra import QSeries
 from qkflag.cli import dispatch
 from qkflag.weyl import min_coset_reps
 
@@ -250,6 +249,11 @@ def test_no_oracle_space_rejected(capsys):
     ("verify", "coulomb", "--n", "3", "--ranks", "1"),
     ("verify", "coulomb", "--n", "4", "--ranks", "1,3"),
     ("verify", "flag-reduction", "--n", "3", "--ranks", "1,2"),
+    ("verify", "coulomb", "--n", "3", "--qdeg", "7"),
+    ("verify", "coulomb", "--n", "3", "--coeffs", "exact"),
+    ("schubert", "--n", "3", "--w", "213", "--qdeg", "5"),
+    ("table", "--n", "3", "--qdeg", "1", "--coeffs", "exact"),
+    ("verify", "incidence", "--n", "3", "--coeffs", "exact"),
 ])
 def test_usage_errors_exit_2(capsys, argv):
     code, out, err = run(capsys, *argv)
@@ -259,17 +263,19 @@ def test_usage_errors_exit_2(capsys, argv):
 
 
 def test_internal_error_exits_4(capsys, monkeypatch):
-    # a metric that is not unitriangular is a bug, not a usage error
-    def broken_gram(space, bound):
-        reps = min_coset_reps(space)
-        zero = QSeries.zero(space.k, space.n, bound)
-        return {u: {v: zero for v in reps} for u in reps}
+    # curve neighborhoods that all land on the top label leave the factor P
+    # of the quantum metric without its unit diagonal: a bug, not a usage
+    # error
+    def broken_neighborhood(space, w, d):
+        return min_coset_reps(space)[-1]
 
-    monkeypatch.setattr(qkflag.qk, "quantum_gram", broken_gram)
-    # solved columns are cached; start from an empty cache so that the
-    # product really reads the broken metric
-    monkeypatch.setattr(qkflag.qk, "_det_column", functools.lru_cache(
-        maxsize=None)(qkflag.qk._det_column.__wrapped__))
+    monkeypatch.setattr(qkflag.qk, "curve_neighborhood_schubert",
+                        broken_neighborhood)
+    # labels and solved columns are cached; start from empty caches so that
+    # the product really reads the broken labels
+    for name in ("_neighborhoods", "_det_column"):
+        monkeypatch.setattr(qkflag.qk, name, functools.lru_cache(
+            maxsize=None)(getattr(qkflag.qk, name).__wrapped__))
     code, out, err = run(capsys, "product", "--n", "3", "--L", "detS2",
                          "--sigma", "O:213")
     assert code == 4

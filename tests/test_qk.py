@@ -19,6 +19,7 @@ from qkflag.ktheory import (
     bundle_quotient_class,
     det_class,
     euler_char,
+    expand_schubert,
     one_class,
     scalar_class,
     schubert_class,
@@ -289,22 +290,48 @@ def test_products_commute():
         assert ab == ba
 
 
-def _whole_vector_det_product(space, j, sigma, bound):
-    # reference for det S_j * sigma: one metric solve against sigma's summed
-    # pairings, not a sum of per-basis-element columns
+def _whole_vector_det_product(space, j, sigma, bound, mode="incidence-proven"):
+    # dense reference for det S_j * sigma: one solve of the whole quantum
+    # metric against sigma's summed three-point pairings, not a sum of
+    # per-basis-element columns through the factored metric
     k, n = space.k, space.n
-    table = qk._divisor_table(space, j, False, bound)
+    oracle = GWOracle(mode, space)
+    reps = min_coset_reps(space)
     b = {}
-    for u in min_coset_reps(space):
+    for u in reps:
         acc = QSeries.zero(k, n, bound)
         for w, qs in sigma.coords.items():
-            acc = acc + qs * table[w][u]
+            cls = schubert_class(space, w, "B")
+            acc = acc + qs * QSeries(k, n, bound, {
+                d: gw3_divisor(oracle, ("det", j), cls, u, d)
+                for d in degree_box(k, bound)})
         b[u] = acc
+    gram = quantum_gram(space, bound)
+    sol = qk._triangular_solve(space, bound, [(u, gram[u]) for u in reps], b)
     out = QKElement(space, "B", bound, {})
-    for v, qs in qk._gram_solve(space, bound, b).items():
-        coords = {u: qs * c for u, c in qk._classical_change(space)[v].items()}
-        out = out + QKElement(space, "B", bound, coords)
+    for v, qs in sol.items():
+        opp = expand_schubert(schubert_class(space, v, "B-"), "B")
+        out = out + QKElement(space, "B", bound, {u: qs * c for u, c in opp.items()})
     return out
+
+
+def test_det_columns_match_dense_reference():
+    # each cached column solves the factored metric P * Z; the dense metric
+    # is the reference
+    for space, bound, mode in [(FL3, 2, "incidence-proven"),
+                               (GR24, 2, "grassmannian-proven")]:
+        for j in GWOracle(mode, space).divisor_steps():
+            for w in min_coset_reps(space):
+                sigma = basis_element(space, w, bound)
+                assert qk._det_column(space, j, False, bound, w) == \
+                    _whole_vector_det_product(space, j, sigma, bound, mode)
+    # with the vanishing rule dropped P' = P, so the column is classical
+    for space, bound in [(FL3, 2), (GR24, 2), (FL134, 1)]:
+        for j in range(1, space.k + 1):
+            for w in min_coset_reps(space):
+                classical = det_class(space, j) * schubert_class(space, w, "B")
+                assert qk._det_column(space, j, True, bound, w) == \
+                    embed_classical(classical, bound)
 
 
 @settings(max_examples=12, deadline=None)
@@ -362,14 +389,19 @@ def test_line_bundle_solve_inverts_products():
 
 def test_line_bundle_solve_refuses_opposite_divisor():
     # O^{s_r} vanishes at the identity coset, so it is not a unit: dividing
-    # by it is a usage error, not a failed internal invariant
+    # by it is a usage error, not a failed internal invariant.  The same
+    # holds for the zero class and for T1 - det S_1, which vanish there too.
     for oracle in (GWOracle("incidence-proven", FL3),
                    GWOracle("full-flag-conjectural", FL3),
                    GWOracle("incidence-proven", FL134)):
+        n = oracle.space.n
         sigma = embed_classical(one_class(oracle.space), 1)
-        for j in range(1, oracle.space.k + 1):
+        descriptors = [("opposite", j) for j in range(1, oracle.space.k + 1)]
+        descriptors += [("affine", 0, 0, 1),
+                        ("affine", LaurentPolynomial.variable(n, 1), -1, 1)]
+        for L in descriptors:
             with pytest.raises(ValueError, match="not a unit"):
-                line_bundle_solve(oracle, ("opposite", j), sigma, 1)
+                line_bundle_solve(oracle, L, sigma, 1)
 
 
 def test_products_are_compatible_with_truncation():
