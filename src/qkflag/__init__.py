@@ -24,6 +24,7 @@ from .ktheory import (
     demazure_word,
     euler_char,
     expand_schubert,
+    pairings,
     schubert_class,
 )
 from .curves import class_neighborhood, curve_neighborhood_schubert

@@ -14,7 +14,7 @@ import argparse
 import json
 import sys
 
-from .algebra import render_rational, t_elem
+from .algebra import _grlex_key, render_rational, t_elem
 from .ktheory import (
     bundle_class,
     bundle_quotient_class,
@@ -248,7 +248,7 @@ def _config(args, space, **params) -> dict:
 
 def _series_json(qs) -> list:
     return [{"d": list(d), "coeff": render_rational(qs.coeffs[d])}
-            for d in sorted(qs.coeffs, key=lambda t: (sum(t), t))]
+            for d in sorted(qs.coeffs, key=_grlex_key)]
 
 
 def _element_json(el) -> dict:
@@ -257,7 +257,7 @@ def _element_json(el) -> dict:
         qs = el.coords.get(w)
         if qs is not None and qs.coeffs:
             rows.append({"w": list(w), "series": _series_json(qs)})
-    return {"basis": el.basis, "qdeg": el.bound, "coords": rows}
+    return {"basis": "B", "qdeg": el.bound, "coords": rows}
 
 
 # -- subcommands -------------------------------------------------------------

@@ -36,7 +36,6 @@ from .weyl import (
     coset_min,
     identity,
     is_min_rep,
-    length,
     longest_element,
     min_coset_reps,
     right_mul,
@@ -184,19 +183,21 @@ def det_class(space: FlagSpace, j: int) -> KClass:
 # -- Demazure operators -----------------------------------------------------
 
 
+def _exact_div(num: LaurentPolynomial, den: LaurentPolynomial) -> RationalFunction:
+    # num / den: the exact quotient in the Laurent ring when den divides num
+    # there, else the reduced fraction
+    try:
+        return RationalFunction(divexact(num, den))
+    except ValueError:
+        return RationalFunction(num, den)
+
+
 def _demazure_value(a: RationalFunction, b: RationalFunction, ta: int, tb: int,
                     n: int) -> RationalFunction:
     # (a - x b)/(1 - x) with x = T_ta/T_tb, cleared to (T_tb a - T_ta b)/(T_tb - T_ta)
     va, vb = _tchar(n, ta), _tchar(n, tb)
-    if a.is_laurent() and b.is_laurent():
-        num = vb * a.as_laurent() - va * b.as_laurent()
-        try:
-            return RationalFunction.of(divexact(num, vb - va), n)
-        except ValueError:
-            pass
-    x = RationalFunction.of(va * vb.inverse_unit(), n)
-    one = RationalFunction.of(1, n)
-    return (a - x * b) / (one - x)
+    num = a.num * (vb * b.den) - b.num * (va * a.den)
+    return _exact_div(num, (vb - va) * a.den * b.den)
 
 
 def demazure_op(i: int, sigma: KClass) -> KClass:
@@ -357,37 +358,44 @@ def euler_char(sigma: KClass) -> RationalFunction:
 
 
 def expand_schubert(sigma: KClass, basis: str = "B") -> dict:
-    """Coordinates of sigma in a Schubert basis, solved by duality.
+    """Coordinates of sigma in a Schubert basis, solved by substitution.
 
-    Pairing against the opposite basis gives a system that is unitriangular
-    for the Bruhat order, so the coordinates come out by back substitution.
-    Classes outside the integral span show up as non-Laurent coordinates,
-    reported with a RuntimeWarning.
+    O_w restricts to zero at x unless x <= w, and O^w unless x >= w, so
+    walking the fixed points down for "B" (up for "B-") each coordinate is
+    a_x = (sigma|_x - sum_{v done} a_v * O_v|_x) / O_x|_x.  Classes outside
+    the integral span show up as non-Laurent coordinates, reported with a
+    RuntimeWarning.
     """
     if basis not in ("B", "B-"):
         raise ValueError("basis must be 'B' or 'B-'")
     space = sigma.space
     reps = min_coset_reps(space)
-    other = "B-" if basis == "B" else "B"
-    paired = {v: euler_char(sigma * schubert_class(space, v, other)) for v in reps}
+    classes = {v: schubert_class(space, v, basis).values for v in reps}
     coords: dict[Perm, RationalFunction] = {}
-    if basis == "B":
-        for u in sorted(reps, key=length, reverse=True):
-            acc = paired[u]
-            for v, c in coords.items():
-                if v != u and bruhat_leq(u, v):
-                    acc = acc - c
-            coords[u] = acc
-    else:
-        for u in sorted(reps, key=length):
-            acc = paired[u]
-            for v, c in coords.items():
-                if v != u and bruhat_leq(v, u):
-                    acc = acc - c
-            coords[u] = acc
+    for x in (reversed(reps) if basis == "B" else reps):
+        acc = sigma.values[x]
+        for v, a in coords.items():
+            if not (a.is_zero() or classes[v][x].is_zero()):
+                acc = acc - a * classes[v][x]
+        diag = classes[x][x]
+        coords[x] = _exact_div(acc.num * diag.den, acc.den * diag.num)
     if any(not c.is_laurent() for c in coords.values()):
         warnings.warn("expansion has non-Laurent coordinates", RuntimeWarning)
     return {w: coords[w] for w in reps}
+
+
+def pairings(sigma: KClass) -> dict:
+    """The Euler characteristics chi(sigma * O_g) for every fixed point g.
+
+    chi(O^v * O_g) is the Euler characteristic of a Richardson variety: 1
+    when v <= g in Bruhat order and 0 otherwise.  So the pairing with O_g
+    is the sum of sigma's O^v coordinates over v <= g, and one expansion
+    gives every pairing.
+    """
+    found = [(v, a) for v, a in expand_schubert(sigma, "B-").items() if not a.is_zero()]
+    zero = RationalFunction.of(0, sigma.space.n)
+    return {g: sum((a for v, a in found if bruhat_leq(v, g)), zero)
+            for g in min_coset_reps(sigma.space)}
 
 
 # -- moving between spaces --------------------------------------------------

@@ -825,7 +825,7 @@ def psi_evaluate(gen: PresPoly, bound: int) -> QKElement:
             return bundle_class(space, int(j), int(ell))
         return bundle_quotient_class(space, int(j), int(ell))
 
-    total = QKElement(space, "B", bound, {})
+    total = QKElement(space, bound, {})
     idx = {nm: i for i, nm in enumerate(gen.names)}
     for e, c in gen.terms.items():
         plains = []

@@ -4,7 +4,10 @@ import ast
 import functools
 import hashlib
 import json
+import os
 import pathlib
+import subprocess
+import sys
 
 import pytest
 
@@ -87,6 +90,26 @@ def test_readme_examples_match_golden_digests(capsys):
         code, out, _ = run(capsys, *command.split())
         assert code == 0, command
         assert hashlib.sha256(out.encode()).hexdigest() == digest, command
+
+
+@pytest.mark.parametrize("command", [
+    "product --n 4 --L detS3 --sigma one --conditional --qdeg 1",
+    "verify flag-reduction --n 4",
+])
+def test_integral_commands_do_not_import_sympy(command):
+    # sympy backs only the gcd of genuine fractions; its import roughly
+    # doubles a command's peak memory, so a class that falls back from exact
+    # Laurent division to fraction arithmetic shows up here
+    probe = ("import contextlib, io, sys\n"
+             "from qkflag.cli import dispatch\n"
+             "with contextlib.redirect_stdout(io.StringIO()):\n"
+             f"    code = dispatch({command.split()!r})\n"
+             "print(code, 'sympy' in sys.modules)\n")
+    src = pathlib.Path(qkflag.qk.__file__).parent.parent
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    done = subprocess.run([sys.executable, "-c", probe], env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert done.stdout.split() == ["0", "False"], done.stderr
 
 
 # -- payload structure -------------------------------------------------------
@@ -254,6 +277,8 @@ def test_no_oracle_space_rejected(capsys):
     ("schubert", "--n", "3", "--w", "213", "--qdeg", "5"),
     ("table", "--n", "3", "--qdeg", "1", "--coeffs", "exact"),
     ("verify", "incidence", "--n", "3", "--coeffs", "exact"),
+    # at truncation 0 the degree-drop families have nothing to check
+    ("verify", "flag-reduction", "--n", "3", "--qdeg", "0"),
 ])
 def test_usage_errors_exit_2(capsys, argv):
     code, out, err = run(capsys, *argv)

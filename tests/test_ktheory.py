@@ -26,6 +26,7 @@ from qkflag.ktheory import (
     euler_char,
     expand_schubert,
     one_class,
+    pairings,
     pullback,
     scalar_class,
     schubert_class,
@@ -350,6 +351,38 @@ def test_expand_schubert_determinant_in_opposite_basis():
                 assert coords[v] == -mono
             else:
                 assert coords[v].is_zero()
+
+
+def _crosscheck_classes(space):
+    # both Schubert variants and det S_j * O_w; beyond six fixed points,
+    # three labels of spread lengths keep the Euler-characteristic
+    # reference affordable
+    reps = min_coset_reps(space)
+    for w in (reps if len(reps) <= 6 else reps[::len(reps) // 3]):
+        yield schubert_class(space, w, "B")
+        yield schubert_class(space, w, "B-")
+        for j in range(1, space.k + 1):
+            yield det_class(space, j) * schubert_class(space, w, "B")
+
+
+def test_expansions_and_pairings_match_euler_char():
+    # chi(O_w * O^v) = [v <= w], so chi(sigma * O^v) sums the O_w coordinates
+    # over w >= v, and chi(sigma * O_g) sums the O^v coordinates over v <= g;
+    # the Bruhat indicator is invertible, so these pin every coordinate
+    for space in [FlagSpace(3, (1, 2)), FlagSpace(4, (2,)), FlagSpace(4, (1, 3)),
+                  FlagSpace.full(4)]:
+        reps = min_coset_reps(space)
+        zero = rf(0, space.n)
+        for sigma in _crosscheck_classes(space):
+            lower = expand_schubert(sigma, "B")
+            upper = expand_schubert(sigma, "B-")
+            paired = pairings(sigma)
+            for v in reps:
+                chi_upper = euler_char(sigma * schubert_class(space, v, "B-"))
+                assert chi_upper == sum((lower[w] for w in reps if bruhat_leq(v, w)), zero)
+                chi_lower = euler_char(sigma * schubert_class(space, v, "B"))
+                assert chi_lower == sum((upper[u] for u in reps if bruhat_leq(u, v)), zero)
+                assert paired[v] == chi_lower
 
 
 def test_expand_schubert_reports_non_laurent_coordinates():

@@ -308,10 +308,10 @@ def _whole_vector_det_product(space, j, sigma, bound, mode="incidence-proven"):
         b[u] = acc
     gram = quantum_gram(space, bound)
     sol = qk._triangular_solve(space, bound, [(u, gram[u]) for u in reps], b)
-    out = QKElement(space, "B", bound, {})
+    out = QKElement(space, bound, {})
     for v, qs in sol.items():
         opp = expand_schubert(schubert_class(space, v, "B-"), "B")
-        out = out + QKElement(space, "B", bound, {u: qs * c for u, c in opp.items()})
+        out = out + QKElement(space, bound, {u: qs * c for u, c in opp.items()})
     return out
 
 
@@ -363,7 +363,7 @@ def _mixed_element(space, cls, bound):
 
 def _truncate(el, bound):
     k, n = el.space.k, el.space.n
-    return QKElement(el.space, el.basis, bound, {
+    return QKElement(el.space, bound, {
         w: QSeries(k, n, bound, {d: c for d, c in qs.coeffs.items() if max(d) <= bound})
         for w, qs in el.coords.items()})
 
@@ -458,12 +458,10 @@ def test_grassmannian_oracle_values():
 def test_qk_element_validation():
     one_q = QSeries.one(2, 3, 1)
     with pytest.raises(ValueError):
-        QKElement(FL3, "left", 1, {identity(3): one_q})
-    with pytest.raises(ValueError):
         # (1, 3, 2, 4) has its descent away from the rank marks of FL134
-        QKElement(FL134, "B", 1, {(1, 3, 2, 4): QSeries.one(2, 4, 1)})
+        QKElement(FL134, 1, {(1, 3, 2, 4): QSeries.one(2, 4, 1)})
     with pytest.raises(ValueError):
-        QKElement(FL3, "B", 2, {identity(3): one_q})  # bound mismatch
+        QKElement(FL3, 2, {identity(3): one_q})  # bound mismatch
     a = basis_element(FL3, identity(3), 1)
     b = basis_element(FL3, simple_reflection(3, 1), 2)
     with pytest.raises(ValueError):
