@@ -32,6 +32,7 @@ from .presentation import (
 )
 from .qk import (
     GWOracle,
+    _report,
     degree_box,
     embed_classical,
     gw2,
@@ -338,22 +339,14 @@ def _seeds_or_exact(args):
 def _cmd_verify_classical(args, parser):
     space = _get_space(args, parser)
     seeds, exact = _seeds_or_exact(args)
-    spec = ideal_generators(space, "classical")
-    if exact:
-        dim = groebner_dimension(spec, exact=True)
-    else:
-        dim = groebner_dimension(spec, seeds=seeds)
+    dim = groebner_dimension(ideal_generators(space, "classical"), seeds, exact)
     expected = len(min_coset_reps(space))
     status = "PASS" if dim == expected else "FAIL"
     witnesses = [] if status == "PASS" else [
         {"relation": "classical-dimension", "dimension": dim, "expected": expected}]
     payload = {
         "config": _config(args, space, what=args.what),
-        "check": "classical-dimension",
-        "space": {"n": space.n, "ranks": list(space.ranks)},
-        "truncation": None,
-        "status": status,
-        "witnesses": witnesses,
+        **_report("classical-dimension", space, None, status, witnesses),
         "dimension": dim,
         "expected": expected,
     }
@@ -410,11 +403,7 @@ def _cmd_verify_presentation(args, parser):
     witnesses = []
     dims = {}
     for flavor in ("classical", "quantum-polynomial", "quantum-power-series"):
-        spec = ideal_generators(space, flavor)
-        if exact:
-            dims[flavor] = groebner_dimension(spec, exact=True)
-        else:
-            dims[flavor] = groebner_dimension(spec, seeds=seeds)
+        dims[flavor] = groebner_dimension(ideal_generators(space, flavor), seeds, exact)
         if dims[flavor] != expected:
             witnesses.append({"relation": f"dimension-{flavor}",
                               "dimension": dims[flavor], "expected": expected})
@@ -431,11 +420,7 @@ def _cmd_verify_presentation(args, parser):
     status = "PASS" if not witnesses else "FAIL"
     payload = {
         "config": _config(args, space, what=args.what),
-        "check": "presentation",
-        "space": {"n": space.n, "ranks": list(space.ranks)},
-        "truncation": args.qdeg,
-        "status": status,
-        "witnesses": witnesses,
+        **_report("presentation", space, args.qdeg, status, witnesses),
         "dimensions": {**dims, "expected": expected},
         "psi_generators_checked": checked,
     }

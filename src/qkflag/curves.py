@@ -19,9 +19,10 @@ from .weyl import (
     Degree,
     FlagSpace,
     Perm,
+    _check_effective,
+    _check_min_rep,
     coset_min,
     demazure_product,
-    is_min_rep,
     longest_element,
     parabolic_longest,
     reduced_word,
@@ -29,16 +30,9 @@ from .weyl import (
 )
 
 
-def _check_label(space: FlagSpace, w) -> Perm:
-    w = tuple(w)
-    if sorted(w) != list(range(1, space.n + 1)) or not is_min_rep(space, w):
-        raise ValueError(f"{w} is not a minimal coset representative of {space}")
-    return w
-
-
 def curve_neighborhood_schubert(space: FlagSpace, w, d: Degree) -> Perm:
     """Label of the degree-d curve neighborhood of the Schubert variety of w."""
-    w = _check_label(space, w)
+    w = _check_min_rep(space, w)
     z = z_d(space, tuple(d))
     return coset_min(space, demazure_product(w, z))
 
@@ -66,12 +60,9 @@ def incidence_neighborhood_label(space: FlagSpace, w, d: Degree) -> Perm:
     """
     if not space.is_incidence:
         raise ValueError(f"{space} is not an incidence variety")
-    w = _check_label(space, w)
-    d = tuple(d)
-    if len(d) != 2 or any(not isinstance(c, int) or c < 0 for c in d):
-        raise ValueError("degree must be an effective pair")
+    w = _check_min_rep(space, w)
+    d1, d2 = _check_effective(space, d)
     n = space.n
-    d1, d2 = d
     if d1 == 0 and d2 == 0:
         return w
     if d1 > 0 and d2 > 0:

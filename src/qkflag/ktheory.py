@@ -31,11 +31,11 @@ from .algebra import (
 from .weyl import (
     FlagSpace,
     Perm,
+    _check_min_rep,
     bruhat_leq,
     coset_max,
     coset_min,
     identity,
-    is_min_rep,
     longest_element,
     min_coset_reps,
     right_mul,
@@ -129,8 +129,20 @@ def scalar_class(space: FlagSpace, c) -> KClass:
 # -- tautological bundles ---------------------------------------------------
 
 
-def _block_edges(space: FlagSpace) -> tuple[int, ...]:
-    return (0,) + space.ranks + (space.n,)
+def _wedge_class(space: FlagSpace, lo: int, hi: int, ell: int) -> KClass:
+    # restriction at w: e_ell in T_{w(p)} over the positions lo <= p < hi
+    n = space.n
+    vals = {}
+    for w in min_coset_reps(space):
+        e = elem_sym([_tchar(n, w[p]) for p in range(lo, hi)], ell)
+        vals[w] = RationalFunction.of(e, n)
+    return KClass(space, vals)
+
+
+def _sub_rank(space: FlagSpace, j: int) -> int:
+    if not 0 <= j <= space.k + 1:
+        raise ValueError(f"no tautological bundle with index {j}")
+    return space.edges[j]
 
 
 @lru_cache(maxsize=None)
@@ -141,20 +153,10 @@ def bundle_class(space: FlagSpace, j: int, ell: int) -> KClass:
     at w is the elementary symmetric polynomial e_ell in
     T_{w(1)}, ..., T_{w(r_j)}.
     """
-    if not 0 <= j <= space.k + 1:
-        raise ValueError(f"no tautological bundle with index {j}")
+    r = _sub_rank(space, j)
     if ell < 0:
         raise ValueError("negative exterior power")
-    n = space.n
-    if j == 0:
-        r = 0
-    else:
-        r = space.ranks[j - 1] if j <= space.k else n
-    vals = {}
-    for w in min_coset_reps(space):
-        e = elem_sym([_tchar(n, w[p]) for p in range(r)], ell)
-        vals[w] = RationalFunction.of(e, n)
-    return KClass(space, vals)
+    return _wedge_class(space, 0, r, ell)
 
 
 @lru_cache(maxsize=None)
@@ -164,20 +166,12 @@ def bundle_quotient_class(space: FlagSpace, j: int, ell: int) -> KClass:
         raise ValueError(f"no quotient bundle with index {j}")
     if ell < 0:
         raise ValueError("negative exterior power")
-    n = space.n
-    edges = _block_edges(space)
-    lo, hi = edges[j], edges[j + 1]
-    vals = {}
-    for w in min_coset_reps(space):
-        e = elem_sym([_tchar(n, w[p]) for p in range(lo, hi)], ell)
-        vals[w] = RationalFunction.of(e, n)
-    return KClass(space, vals)
+    return _wedge_class(space, space.edges[j], space.edges[j + 1], ell)
 
 
 def det_class(space: FlagSpace, j: int) -> KClass:
-    """Determinant line of S_j, the top exterior power."""
-    r = space.ranks[j - 1] if j <= space.k else space.n
-    return bundle_class(space, j, r)
+    """Determinant line of S_j, the top exterior power; det S_0 = O."""
+    return bundle_class(space, j, _sub_rank(space, j))
 
 
 # -- Demazure operators -----------------------------------------------------
@@ -245,21 +239,19 @@ def _tangent_seed(n: int, w: Perm) -> LaurentPolynomial:
 
 @lru_cache(maxsize=None)
 def _schubert_full(n: int, w: Perm, variant: str) -> KClass:
-    space = FlagSpace.full(n)
-    zero = RationalFunction.of(0, n)
-    if variant == "B":
-        if w == identity(n):
-            vals = {v: zero for v in min_coset_reps(space)}
-            vals[w] = RationalFunction.of(_tangent_seed(n, w), n)
-            return KClass(space, vals)
-        i = next(i for i in range(1, n) if w[i - 1] > w[i])
-        return demazure_op(i, _schubert_full(n, right_mul(w, i), "B"))
-    if w == longest_element(n):
+    # O_w starts at the identity and O^w at the longest element, where the
+    # class is the point orbit; the Demazure operator at a right descent of
+    # w (an ascent for O^w) comes from the class of w s_i
+    start = identity(n) if variant == "B" else longest_element(n)
+    if w == start:
+        space = FlagSpace.full(n)
+        zero = RationalFunction.of(0, n)
         vals = {v: zero for v in min_coset_reps(space)}
         vals[w] = RationalFunction.of(_tangent_seed(n, w), n)
         return KClass(space, vals)
-    i = next(i for i in range(1, n) if w[i - 1] < w[i])
-    return demazure_op(i, _schubert_full(n, right_mul(w, i), "B-"))
+    descent = variant == "B"
+    i = next(i for i in range(1, n) if (w[i - 1] > w[i]) == descent)
+    return demazure_op(i, _schubert_full(n, right_mul(w, i), variant))
 
 
 @lru_cache(maxsize=None)
@@ -273,9 +265,7 @@ def schubert_class(space: FlagSpace, w: Perm, variant: str = "B") -> KClass:
     """
     if variant not in ("B", "B-"):
         raise ValueError("variant must be 'B' or 'B-'")
-    w = tuple(w)
-    if sorted(w) != list(range(1, space.n + 1)) or not is_min_rep(space, w):
-        raise ValueError(f"{w} is not a minimal coset representative of {space}")
+    w = _check_min_rep(space, w)
     label = coset_max(space, w) if variant == "B" else w
     full = _schubert_full(space.n, label, variant)
     vals = {v: full.values[v] for v in min_coset_reps(space)}

@@ -26,7 +26,7 @@ the quantum parameters q1..qk, in that order.
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, partial
 from itertools import product as iproduct
 import random
 
@@ -44,6 +44,7 @@ from .ktheory import bundle_class, bundle_quotient_class
 from .qk import (
     GWOracle,
     QKElement,
+    _report,
     embed_classical,
     line_bundle_product,
     line_bundle_solve,
@@ -64,13 +65,13 @@ def pres_names(space: FlagSpace, auxiliary: bool = False) -> tuple[str, ...]:
     (incidence spaces only) the critical-locus variables follow: e_l of a
     rank n-2 auxiliary bundle and one extra rank-one variable.
     """
-    marks = space.ranks + (space.n,)
+    e = space.edges
     names = []
     for j in range(1, space.k + 1):
-        for ell in range(1, space.ranks[j - 1] + 1):
+        for ell in range(1, e[j] + 1):
             names.append(f"eX{j}_{ell}")
     for j in range(1, space.k + 1):
-        for ell in range(1, marks[j] - marks[j - 1] + 1):
+        for ell in range(1, e[j + 1] - e[j] + 1):
             names.append(f"eY{j}_{ell}")
     if auxiliary:
         if not space.is_incidence:
@@ -349,34 +350,32 @@ def ideal_generators(space: FlagSpace, flavor: str) -> IdealSpec:
     return IdealSpec(flavor, space, tuple(gens))
 
 
+def _wedge_var(space: FlagSpace, name: str, rank: int, ell: int,
+               auxiliary: bool = False) -> PresPoly:
+    # e_ell of a rank-`rank` bundle whose generators are name_1, name_2, ...
+    if ell == 0:
+        return pres_one(space, auxiliary)
+    if ell > rank:
+        return pres_zero(space, auxiliary)
+    return pres_var(space, f"{name}_{ell}", auxiliary)
+
+
 def _xvar(space: FlagSpace, j: int, ell: int) -> PresPoly:
     # e_ell of S_j, with S_{k+1} the trivial rank n bundle
-    if ell == 0:
-        return pres_one(space)
-    if j == space.k + 1:
-        if ell > space.n:
-            return pres_zero(space)
+    if j == space.k + 1 and 0 < ell <= space.n:
         return pres_scalar(space, t_elem(space.n, ell, space.n + space.k))
-    if ell > space.ranks[j - 1]:
-        return pres_zero(space)
-    return pres_var(space, f"eX{j}_{ell}")
+    return _wedge_var(space, f"eX{j}", space.edges[j], ell)
 
 
 def _yvar(space: FlagSpace, j: int, ell: int) -> PresPoly:
     # e_ell of the quotient S_{j+1}/S_j
-    marks = space.ranks + (space.n,)
-    if ell == 0:
-        return pres_one(space)
-    if ell > marks[j] - marks[j - 1]:
-        return pres_zero(space)
-    return pres_var(space, f"eY{j}_{ell}")
+    return _wedge_var(space, f"eY{j}", space.edges[j + 1] - space.edges[j], ell)
 
 
 def _classical_generators(space: FlagSpace) -> list:
-    marks = space.ranks + (space.n,)
     gens = []
     for j in range(1, space.k + 1):
-        for ell in range(1, marks[j] + 1):
+        for ell in range(1, space.edges[j + 1] + 1):
             g = pres_zero(space)
             for i in range(ell + 1):
                 g = g + _xvar(space, j, i) * _yvar(space, j, ell - i)
@@ -433,14 +432,6 @@ def _incidence_polynomial_generators(space: FlagSpace) -> list:
     return gens
 
 
-def _aux_var(space: FlagSpace, ell: int) -> PresPoly:
-    if ell == 0:
-        return pres_one(space, auxiliary=True)
-    if ell > space.n - 2:
-        return pres_zero(space, auxiliary=True)
-    return pres_var(space, f"eXbar1_{ell}", auxiliary=True)
-
-
 def _coulomb_generators(space: FlagSpace) -> list:
     n = space.n
     x1 = pres_var(space, "eX1_1", auxiliary=True)
@@ -448,18 +439,13 @@ def _coulomb_generators(space: FlagSpace) -> list:
     q2 = pres_q(space, 2, auxiliary=True)
     z = pres_var(space, "Xbar2_1", auxiliary=True)
 
-    def xv(ell):
-        if ell == 0:
-            return pres_one(space, auxiliary=True)
-        if ell > n - 1:
-            return pres_zero(space, auxiliary=True)
-        return pres_var(space, f"eX2_{ell}", auxiliary=True)
-
+    xv = partial(_wedge_var, space, "eX2", n - 1, auxiliary=True)
+    aux = partial(_wedge_var, space, "eXbar1", n - 2, auxiliary=True)
     gens = []
     for ell in range(1, n):
-        g = _aux_var(space, ell) + x1 * _aux_var(space, ell - 1) - xv(ell)
+        g = aux(ell) + x1 * aux(ell - 1) - xv(ell)
         if ell == n - 2:
-            g = g - q1 * _aux_var(space, n - 2)
+            g = g - q1 * aux(n - 2)
         gens.append(g)
     for ell in range(1, n + 1):
         em = pres_scalar(space, t_elem(space.n, ell, space.n + space.k), auxiliary=True)
@@ -476,7 +462,9 @@ def _coulomb_generators(space: FlagSpace) -> list:
 #
 # Polynomials are dicts from exponent tuples to field elements (Fraction, or
 # RationalFunction in the torus weights).  Graded reverse lexicographic
-# order throughout.
+# order throughout.  Basis elements are kept monic: _monic is the one place
+# that divides by a leading coefficient, so reduction and S-polynomials
+# only multiply and subtract.
 
 def _grevlex_key(e: tuple) -> tuple:
     return (sum(e), tuple(-x for x in reversed(e)))
@@ -490,8 +478,15 @@ def _lt(p: dict) -> tuple:
     return max(p, key=_grevlex_key)
 
 
+def _monic(p: dict) -> tuple:
+    """The basis element (leading exponent, p / leading coefficient)."""
+    lead = _lt(p)
+    c = p[lead]
+    return lead, {e: x / c for e, x in p.items()}
+
+
 def _reduce_full(p: dict, basis: list) -> dict:
-    """Remainder of p on full division by the basis, largest terms first."""
+    """Remainder of p on full division by the monic basis, largest first."""
     work = dict(p)
     out = {}
     while work:
@@ -499,23 +494,18 @@ def _reduce_full(p: dict, basis: list) -> dict:
         c = work.pop(lead)
         if c == 0:
             continue
-        hit = None
-        for blt, bterms in basis:
-            if _divides(blt, lead):
-                hit = (blt, bterms)
-                break
+        hit = next((b for b in basis if _divides(b[0], lead)), None)
         if hit is None:
             out[lead] = c
             continue
         blt, bterms = hit
-        f = c / bterms[blt]
         shift = tuple(x - y for x, y in zip(lead, blt))
         for be, bc in bterms.items():
             if be == blt:
                 continue
             ke = tuple(x + y for x, y in zip(be, shift))
             prev = work.get(ke)
-            nc = -(f * bc) if prev is None else prev - f * bc
+            nc = -(c * bc) if prev is None else prev - c * bc
             if nc == 0:
                 work.pop(ke, None)
             else:
@@ -528,15 +518,11 @@ def _spoly(a: tuple, b: tuple) -> dict:
     lcm = tuple(max(x, y) for x, y in zip(alt, blt))
     fa = tuple(x - y for x, y in zip(lcm, alt))
     fb = tuple(x - y for x, y in zip(lcm, blt))
-    ca, cb = aterms[alt], bterms[blt]
-    out: dict = {}
-    for e, c in aterms.items():
-        ke = tuple(x + y for x, y in zip(e, fa))
-        out[ke] = c / ca
+    out = {tuple(x + y for x, y in zip(e, fa)): c for e, c in aterms.items()}
     for e, c in bterms.items():
         ke = tuple(x + y for x, y in zip(e, fb))
         prev = out.get(ke)
-        nc = -(c / cb) if prev is None else prev - c / cb
+        nc = -c if prev is None else prev - c
         if nc == 0:
             out.pop(ke, None)
         else:
@@ -545,8 +531,8 @@ def _spoly(a: tuple, b: tuple) -> dict:
 
 
 def _buchberger(gens: list) -> list:
-    """Groebner basis of the ideal the given polynomials generate."""
-    basis = [( _lt(g), dict(g) ) for g in gens if g]
+    """Monic Groebner basis of the ideal the given polynomials generate."""
+    basis = [_monic(g) for g in gens if g]
     pairs = [(i, j) for j in range(len(basis)) for i in range(j)]
     while pairs:
         best = min(pairs, key=lambda ij: _grevlex_key(
@@ -558,7 +544,7 @@ def _buchberger(gens: list) -> list:
             continue
         r = _reduce_full(_spoly(basis[i], basis[j]), basis)
         if r:
-            basis.append((_lt(r), r))
+            basis.append(_monic(r))
             pairs.extend((t, len(basis) - 1) for t in range(len(basis) - 1))
     return basis
 
@@ -623,34 +609,22 @@ def groebner_dimension(spec: IdealSpec, seeds: tuple = (0, 1),
     if not spec.generators:
         raise ValueError("empty ideal")
     n, k = spec.space.n, spec.space.k
+    if exact and n > 3:
+        raise ValueError("exact coefficient mode is supported for n <= 3")
     gens0 = [pres_q0(g) for g in spec.generators]
     nv = len(spec.generators[0].names)
-    if exact:
-        if n > 3:
-            raise ValueError("exact coefficient mode is supported for n <= 3")
-        q0 = (0,) * k
-        polys = []
-        for g in gens0:
-            p = {e: RationalFunction(_split_q(c.num, n, k)[q0], _split_q(c.den, n, k)[q0])
-                 for e, c in g.terms.items()}
-            if p:
-                polys.append(p)
-        d = _quotient_dimension(_buchberger(polys), nv)
-        if d is None:
-            raise RuntimeError("quotient at q = 0 is not zero-dimensional")
-        return d
+    q0 = (0,) * k
+
+    def value(c, tvals):
+        # the q-free coefficient over the weights, or its value at tvals
+        if tvals is None:
+            return RationalFunction(_split_q(c.num, n, k)[q0], _split_q(c.den, n, k)[q0])
+        return _eval_fraction(c, tvals, n)
+
     counts = []
-    for seed in seeds:
-        tvals = _seed_values(seed, n)
-        polys = []
-        for g in gens0:
-            p = {}
-            for e, c in g.terms.items():
-                v = _eval_fraction(c, tvals, n)
-                if v != 0:
-                    p[e] = v
-            if p:
-                polys.append(p)
+    for tvals in [None] if exact else [_seed_values(seed, n) for seed in seeds]:
+        polys = [{e: v for e, c in g.terms.items() if (v := value(c, tvals)) != 0}
+                 for g in gens0]
         d = _quotient_dimension(_buchberger(polys), nv)
         if d is None:
             raise RuntimeError("quotient at q = 0 is not zero-dimensional")
@@ -750,13 +724,8 @@ def coulomb_equivalence(space: FlagSpace, negative_control: bool = False) -> dic
             "relation": f"critical-locus-{idx + 1}",
             "remainder": _render_member(_reduce_full(scaled[0], basis), names, n),
         })
-    return {
-        "check": "coulomb-equivalence",
-        "space": {"n": n, "ranks": list(space.ranks)},
-        "truncation": None,
-        "status": "FAIL" if witnesses else "PASS",
-        "witnesses": witnesses,
-    }
+    return _report("coulomb-equivalence", space, None,
+                   "FAIL" if witnesses else "PASS", witnesses)
 
 
 # -- evaluation into the localization model ----------------------------------
@@ -799,9 +768,7 @@ def psi_evaluate(gen: PresPoly, bound: int) -> QKElement:
 
     def unit_series(j):
         # the scalar 1 - q_j in the truncated series ring
-        one = RationalFunction.of(1, n)
-        deg = tuple(1 if t == j - 1 else 0 for t in range(space.k))
-        return QSeries(space.k, n, bound, {(0,) * space.k: one, deg: -one})
+        return _series_of_coeff(RationalFunction(_q_unit(space, j)), space, bound)
 
     # Multiplication by det(S_2/S_1) and by the quotient line is realized by
     # dividing out a proven product identity: the subbundle line times the

@@ -49,6 +49,7 @@ from .weyl import (
     Degree,
     FlagSpace,
     Perm,
+    _check_effective,
     bruhat_leq,
     min_coset_reps,
     reduced_word,
@@ -123,14 +124,25 @@ def _check_licence(oracle: GWOracle, j: int):
         )
 
 
+def _vanishes(d: Degree, j: int, dropped: bool) -> bool:
+    """The vanishing rule: <det S_j, sigma, O_w>_d = 0 whenever d_j > 0.
+
+    On incidence varieties Fl(1, n-1; n) and on Grassmannians the rule is
+    a theorem.  On the complete flag variety it follows from the quantum K
+    divisor axiom conjectured by Buch and Mihalcea, so there it is a
+    conjecture and everything resting on it is reported as conditional.
+    dropped suppresses the rule on step j, which only the mutated-oracle
+    negative controls do.
+    """
+    return d[j - 1] > 0 and not dropped
+
+
 def _divisor_char(oracle: GWOracle, j: int, sigma: KClass, w: Perm,
                   d: Degree) -> RationalFunction:
     space = oracle.space
     _check_licence(oracle, j)
-    d = tuple(d)
-    if len(d) != space.k or any(c < 0 for c in d):
-        raise ValueError("degree must be effective with one entry per rank")
-    if d[j - 1] > 0 and j not in oracle.drop_vanishing:
+    d = _check_effective(space, d)
+    if _vanishes(d, j, j in oracle.drop_vanishing):
         return RationalFunction.of(0, space.n)
     g = curve_neighborhood_schubert(space, w, d)
     return euler_char(det_class(space, j) * sigma * schubert_class(space, g, "B"))
@@ -405,7 +417,7 @@ def _det_column(space: FlagSpace, j: int, dropped: bool, bound: int,
         allowed = {}
         for d, g in labels:
             entries.setdefault(g, {})[d] = one
-            if d[j - 1] == 0 or dropped:
+            if not _vanishes(d, j, dropped):
                 allowed[d] = b[g]
         rows.append((u, {g: QSeries(k, n, bound, c) for g, c in entries.items()}))
         rhs[u] = QSeries(k, n, bound, allowed)
@@ -415,6 +427,19 @@ def _det_column(space: FlagSpace, j: int, dropped: bool, bound: int,
         out = out + QKElement(space, bound, {
             u: qs * c for u, c in dual[g].items() if not c.is_zero()})
     return out
+
+
+def _line_operands(oracle: GWOracle, L, sigma: QKElement, bound: int):
+    """Check that sigma lives on the oracle's space at this bound and reduce
+    L to (c0, c1, j), with step j licensed whenever det S_j enters."""
+    if not isinstance(sigma, QKElement) or sigma.space != oracle.space:
+        raise ValueError("the element must live on the oracle's space")
+    if sigma.bound != bound:
+        raise ValueError("truncation bounds disagree")
+    c0, c1, j = _parse_line_arg(oracle, L)
+    if not c1.is_zero():
+        _check_licence(oracle, j)
+    return c0, c1, j
 
 
 def line_bundle_product(oracle: GWOracle, L, sigma: QKElement,
@@ -432,14 +457,9 @@ def line_bundle_product(oracle: GWOracle, L, sigma: QKElement,
     columns sigma touches are ever solved.
     """
     space = oracle.space
-    if not isinstance(sigma, QKElement) or sigma.space != space:
-        raise ValueError("the element must live on the oracle's space")
-    if sigma.bound != bound:
-        raise ValueError("truncation bounds disagree")
-    c0, c1, j = _parse_line_arg(oracle, L)
+    c0, c1, j = _line_operands(oracle, L, sigma, bound)
     if c1.is_zero():
         return sigma * c0
-    _check_licence(oracle, j)
     dropped = j in oracle.drop_vanishing
     acc = QKElement(space, bound, {})
     for w, qs in sigma.coords.items():
@@ -448,19 +468,17 @@ def line_bundle_product(oracle: GWOracle, L, sigma: QKElement,
 
 
 @lru_cache(maxsize=None)
-def _line_matrix(space: FlagSpace, parsed, dropped: bool, bound: int):
-    """Matrix of the product operator for an affine line class, as columns
-    over the basis.  The classical part is supported on u <= w in Bruhat
-    order with an invertible restriction on the diagonal, which is what
-    makes the operator invertible within the truncation."""
-    c0, c1, j = parsed
+def _line_matrix(oracle: GWOracle, L, bound: int):
+    """Matrix of the product operator for a line class, as columns over
+    the basis.  The classical part is supported on u <= w in Bruhat order
+    with an invertible restriction on the diagonal, which is what makes
+    the operator invertible within the truncation."""
+    space = oracle.space
     reps = min_coset_reps(space)
     index = {u: i for i, u in enumerate(reps)}
     cols = {}
     for w in reps:
-        col = basis_element(space, w, bound) * c0
-        if not c1.is_zero():
-            col = col + _det_column(space, j, dropped, bound, w) * c1
+        col = line_bundle_product(oracle, L, basis_element(space, w, bound), bound)
         for u, qs in col.coords.items():
             c = qs.constant_term()
             if not c.is_zero() and index[u] > index[w]:
@@ -481,13 +499,7 @@ def line_bundle_solve(oracle: GWOracle, L, sigma: QKElement,
     identity coset, is not a unit and is refused.
     """
     space = oracle.space
-    if not isinstance(sigma, QKElement) or sigma.space != space:
-        raise ValueError("the element must live on the oracle's space")
-    if sigma.bound != bound:
-        raise ValueError("truncation bounds disagree")
-    c0, c1, j = _parse_line_arg(oracle, L)
-    if not c1.is_zero():
-        _check_licence(oracle, j)
+    c0, c1, j = _line_operands(oracle, L, sigma, bound)
     reps = min_coset_reps(space)
     for w in reps:
         # the operator's diagonal entry at w is the restriction L|_w
@@ -495,7 +507,7 @@ def line_bundle_solve(oracle: GWOracle, L, sigma: QKElement,
         if value.is_zero():
             raise ValueError(f"{L!r} vanishes at the fixed point {w}, "
                              "so it is not a unit")
-    cols = _line_matrix(space, (c0, c1, j), j in oracle.drop_vanishing, bound)
+    cols = _line_matrix(oracle, L, bound)
     diag = {}
     for w in reps:
         c = cols[w].at(w).constant_term()

@@ -14,7 +14,7 @@ greedily peeling maximal roots from an effective degree.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, reduce
 from itertools import combinations
 
 Perm = tuple[int, ...]
@@ -222,10 +222,20 @@ class FlagSpace:
     def is_incidence(self) -> bool:
         return self.n >= 3 and self.ranks == (1, self.n - 1)
 
+    @property
+    def edges(self) -> tuple[int, ...]:
+        """The rank sequence 0 = r_0 < r_1 < ... < r_k < r_{k+1} = n.
+
+        edges[j] is the rank of S_j, with S_0 = 0 and S_{k+1} = C^n; the
+        0-based positions edges[j] <= p < edges[j + 1] form block j, the
+        one the quotient S_{j+1}/S_j sees.
+        """
+        return (0,) + self.ranks + (self.n,)
+
     def block_bounds(self) -> tuple[tuple[int, int], ...]:
         """0-based slice bounds of the position blocks, last block included."""
-        edges = (0,) + self.ranks + (self.n,)
-        return tuple((edges[j], edges[j + 1]) for j in range(len(edges) - 1))
+        e = self.edges
+        return tuple((e[j], e[j + 1]) for j in range(self.k + 1))
 
 
 def coset_min(space: FlagSpace, w: Perm) -> Perm:
@@ -244,6 +254,13 @@ def coset_max(space: FlagSpace, w: Perm) -> Perm:
 
 def is_min_rep(space: FlagSpace, w: Perm) -> bool:
     return w == coset_min(space, w)
+
+
+def _check_min_rep(space: FlagSpace, w) -> Perm:
+    w = tuple(w)
+    if sorted(w) != list(range(1, space.n + 1)) or not is_min_rep(space, w):
+        raise ValueError(f"{w} is not a minimal coset representative of {space}")
+    return w
 
 
 @lru_cache(maxsize=None)
@@ -315,14 +332,22 @@ def _peel(space: FlagSpace, d: Degree, comp: tuple[int, int]) -> tuple[Root, Deg
 
 
 @lru_cache(maxsize=None)
-def _z_d(space: FlagSpace, d: Degree) -> Perm:
+def _z_d_peels(space: FlagSpace, d: Degree) -> tuple[Root, ...]:
     comps = _active_components(space, d)
     if not comps:
-        return identity(space.n)
+        return ()
     beta, lowered = _peel(space, d, comps[0])
-    z = demazure_product(_z_d(space, lowered), beta.to_perm(space.n))
-    if inverse(z) != z:
-        raise RuntimeError(f"z_d for degree {d} is not an involution")
+    return (beta,) + _z_d_peels(space, lowered)
+
+
+@lru_cache(maxsize=None)
+def _z_d(space: FlagSpace, d: Degree) -> Perm:
+    # each prefix of the reversed peels is z_d of an intermediate degree
+    z = identity(space.n)
+    for beta in reversed(_z_d_peels(space, d)):
+        z = demazure_product(z, beta.to_perm(space.n))
+        if inverse(z) != z:
+            raise RuntimeError(f"z_d on the way to degree {d} is not an involution")
     return z
 
 
@@ -332,41 +357,27 @@ def z_d(space: FlagSpace, d: Degree) -> Perm:
     return _z_d(space, _check_effective(space, d))
 
 
-@lru_cache(maxsize=None)
-def _z_d_peels(space: FlagSpace, d: Degree) -> tuple[Root, ...]:
-    comps = _active_components(space, d)
-    if not comps:
-        return ()
-    beta, lowered = _peel(space, d, comps[0])
-    return (beta,) + _z_d_peels(space, lowered)
-
-
 def z_d_peels(space: FlagSpace, d: Degree) -> tuple[Root, ...]:
     """The greedy peel sequence; its reversed Hecke product is z_d."""
     return _z_d_peels(space, _check_effective(space, d))
 
 
-_choice_memo: dict[tuple[FlagSpace, Degree], frozenset[Perm]] = {}
+@lru_cache(maxsize=None)
+def _z_d_choices(space: FlagSpace, d: Degree) -> frozenset[Perm]:
+    comps = _active_components(space, d)
+    if not comps:
+        return frozenset({identity(space.n)})
+    results = set()
+    for comp in comps:
+        beta, lowered = _peel(space, d, comp)
+        for z in _z_d_choices(space, lowered):
+            results.add(demazure_product(z, beta.to_perm(space.n)))
+    return frozenset(results)
 
 
 def z_d_choices(space: FlagSpace, d: Degree) -> frozenset[Perm]:
     """Results over every choice of maximal root at every peel level."""
-    d = _check_effective(space, d)
-    key = (space, d)
-    if key in _choice_memo:
-        return _choice_memo[key]
-    comps = _active_components(space, d)
-    if not comps:
-        out = frozenset({identity(space.n)})
-    else:
-        results = set()
-        for comp in comps:
-            beta, lowered = _peel(space, d, comp)
-            for z in z_d_choices(space, lowered):
-                results.add(demazure_product(z, beta.to_perm(space.n)))
-        out = frozenset(results)
-    _choice_memo[key] = out
-    return out
+    return _z_d_choices(space, _check_effective(space, d))
 
 
 def z_d_replace_factor(
@@ -400,9 +411,7 @@ def z_d_replace_factor(
                            f"do not form a chain ending at {i + 1}")
     arranged = list(reversed(others)) + list(reversed(chain))
     prods = [r.to_perm(n) for r in arranged]
-    check = identity(n)
-    for p in prods:
-        check = demazure_product(check, p)
+    check = reduce(demazure_product, prods, identity(n))
     if check != _z_d(space, d):
         raise RuntimeError(f"the rearranged peels of degree {d} do not multiply to z_d")
     if skip_replacement:
@@ -418,7 +427,4 @@ def z_d_replace_factor(
         replaced = head + tail
     else:
         replaced = head + [Root(designated.a, i).to_perm(n)] + tail
-    out = identity(n)
-    for p in replaced:
-        out = demazure_product(out, p)
-    return out
+    return reduce(demazure_product, replaced, identity(n))

@@ -181,10 +181,22 @@ def test_table_rows(capsys):
 # -- verification family -----------------------------------------------------
 
 def test_verify_coulomb(capsys):
-    code, doc, _ = run_json(capsys, "verify", "coulomb", "--n", "3")
+    code, out, _ = run(capsys, "verify", "coulomb", "--n", "3")
+    doc = json.loads(out)
     assert code == 0
     assert doc["check"] == "coulomb-equivalence"
     assert doc["status"] == "PASS"
+    assert hashlib.sha256(out.encode()).hexdigest() == \
+        "31dd7ca06ba7ed800035dac73f565bcc0f9556809e0ea803fb55ce4fc0a9b9ff"
+
+
+def test_gw_det_of_zero_bundle_is_one(capsys):
+    # det S_0 = O, so its two-point invariant at degree 0 is chi(O_w) = 1
+    argv = ["gw", "--n", "3", "--ranks", "1,2", "--type", "2pt",
+            "--w", "123", "--d", "0,0", "--sigma"]
+    _, det0, _ = run_json(capsys, *argv, "detS0")
+    _, one, _ = run_json(capsys, *argv, "one")
+    assert det0["value"] == one["value"] == "1"
 
 
 def test_verify_flag_reduction(capsys):

@@ -235,6 +235,13 @@ def test_bundle_class_values():
         assert det_class(space, space.k + 1) == scalar_class(space, full)
 
 
+@pytest.mark.parametrize("space", [FlagSpace(3, (1, 2)), FlagSpace(4, (2,)),
+                                   FlagSpace.full(4)])
+def test_det_of_zero_bundle_is_unit_class(space):
+    # S_0 = 0 has rank 0, so its determinant is the structure sheaf
+    assert det_class(space, 0) == one_class(space)
+
+
 def test_bundle_quotient_values():
     space = FlagSpace(4, (1, 3))
     for w in min_coset_reps(space):

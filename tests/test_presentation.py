@@ -212,12 +212,6 @@ def test_coulomb_equivalence_passes():
     assert rep["witnesses"] == []
 
 
-def test_coulomb_equivalence_passes_n4():
-    rep = coulomb_equivalence(INC4)
-    assert rep["status"] == "PASS"
-    assert rep["witnesses"] == []
-
-
 def test_coulomb_negative_control_fails():
     rep = coulomb_equivalence(INC3, negative_control=True)
     assert rep["status"] == "FAIL"
