@@ -311,32 +311,28 @@ class RationalFunction:
 
     Canonical means: gcd(num, den) is a unit, the denominator is an honest
     polynomial not divisible by any variable, and its graded-lex leading
-    coefficient is positive.  Monomial units are absorbed into the numerator,
-    so den == 1 exactly when the value is a Laurent polynomial.
+    coefficient is positive, so den == 1 exactly when the value is a Laurent
+    polynomial.  The constructor is the one place that divides: a
+    denominator of 1 (or None) is kept as given, one that divides the
+    numerator in the Laurent ring leaves the exact quotient over 1, and any
+    other is reduced by the gcd.
     """
 
     __slots__ = ("num", "den")
 
     def __init__(self, num: LaurentPolynomial, den: LaurentPolynomial | None = None):
-        if den is None:
-            den = LaurentPolynomial.one(num.nvars)
+        if den is None or den.is_one():
+            self.num = num
+            self.den = LaurentPolynomial.one(num.nvars) if den is None else den
+            return
         if den.is_zero():
             raise ZeroDivisionError("zero denominator")
-        if num.is_zero():
-            self.num = num
+        try:
+            self.num = divexact(num, den)
             self.den = LaurentPolynomial.one(num.nvars)
             return
-        if den.is_monomial():
-            (e, c), = den.terms.items()
-            shifted = num.shift(tuple(-x for x in e))
-            if c in (1, -1):
-                self.num = shifted if c == 1 else -shifted
-                self.den = LaurentPolynomial.one(num.nvars)
-                return
-            g = math.gcd(abs(c), shifted.content())
-            self.num = divexact(shifted, LaurentPolynomial.constant(num.nvars, g if c > 0 else -g))
-            self.den = LaurentPolynomial.constant(num.nvars, abs(c) // g)
-            return
+        except ValueError:
+            pass
         g = poly_gcd(num, den)
         num = divexact(num, g)
         den = divexact(den, g)
@@ -585,15 +581,8 @@ def elem_sym(vars: list, ell: int):
         raise ValueError("negative degree")
     if not vars:
         return 1 if ell == 0 else 0
-    first = vars[0]
-    nvars = first.nvars
-    if isinstance(first, RationalFunction):
-        one = RationalFunction.of(1, nvars)
-        zero = RationalFunction.of(0, nvars)
-    else:
-        one = LaurentPolynomial.one(nvars)
-        zero = LaurentPolynomial.zero(nvars)
-    e = [one] + [zero] * ell
+    zero = vars[0] - vars[0]
+    e = [zero + 1] + [zero] * ell
     for v in vars:
         for j in range(min(ell, len(vars)), 0, -1):
             e[j] = e[j] + v * e[j - 1]

@@ -296,6 +296,8 @@ def _cmd_gw(args, parser):
     sigma = _get_class(args.sigma, space, parser)
     conditional = False
     if args.type == "2pt":
+        if args.L is not None or args.conditional:
+            parser.error("--type 2pt reads neither --L nor --conditional; drop them")
         value = gw2(sigma, w, d)
     else:
         if args.L is None:

@@ -177,21 +177,12 @@ def det_class(space: FlagSpace, j: int) -> KClass:
 # -- Demazure operators -----------------------------------------------------
 
 
-def _exact_div(num: LaurentPolynomial, den: LaurentPolynomial) -> RationalFunction:
-    # num / den: the exact quotient in the Laurent ring when den divides num
-    # there, else the reduced fraction
-    try:
-        return RationalFunction(divexact(num, den))
-    except ValueError:
-        return RationalFunction(num, den)
-
-
 def _demazure_value(a: RationalFunction, b: RationalFunction, ta: int, tb: int,
                     n: int) -> RationalFunction:
     # (a - x b)/(1 - x) with x = T_ta/T_tb, cleared to (T_tb a - T_ta b)/(T_tb - T_ta)
     va, vb = _tchar(n, ta), _tchar(n, tb)
     num = a.num * (vb * b.den) - b.num * (va * a.den)
-    return _exact_div(num, (vb - va) * a.den * b.den)
+    return RationalFunction(num, (vb - va) * a.den * b.den)
 
 
 def demazure_op(i: int, sigma: KClass) -> KClass:
@@ -297,48 +288,40 @@ def _euler_data(space: FlagSpace):
                         cross_noninv += 1
         sign = -1 if cross_noninv % 2 else 1
         rows.append((w, sign, tuple(mexp), inblock))
-    factors = []
-    vandermonde = LaurentPolynomial.one(n)
-    for a in range(1, n + 1):
-        for b in range(a + 1, n + 1):
-            f = _tchar(n, a) - _tchar(n, b)
-            factors.append(f)
-            vandermonde = vandermonde * f
-    return tuple(rows), tuple(factors), vandermonde
+    factors = tuple(_tchar(n, a) - _tchar(n, b)
+                    for a in range(1, n + 1) for b in range(a + 1, n + 1))
+    return tuple(rows), factors
 
 
 def euler_char(sigma: KClass) -> RationalFunction:
     """Equivariant Euler characteristic, an element of K_T(pt).
 
+    The restrictions are put over the product of their distinct
+    denominators, which is 1 for every sheaf class, and the sum is divided
+    by the tangent factors T_a - T_b one at a time in the Laurent ring.
     Classes of genuine sheaves give a Laurent polynomial; a surviving
     denominator is reported as a RuntimeWarning and the rational function is
     returned as computed.
     """
-    rows, factors, vandermonde = _euler_data(sigma.space)
+    rows, factors = _euler_data(sigma.space)
     n = sigma.space.n
     vals = sigma.values
-    if all(v.is_laurent() for v in vals.values()):
-        num = LaurentPolynomial.zero(n)
-        for w, sign, mexp, inblock in rows:
-            term = vals[w].as_laurent() * inblock
-            if sign < 0:
-                term = -term
-            num = num + term.shift(mexp)
-        remaining = LaurentPolynomial.one(n)
-        for f in factors:
-            try:
-                num = divexact(num, f)
-            except ValueError:
-                remaining = remaining * f
-        result = RationalFunction(num, remaining)
-    else:
-        total = RationalFunction.of(0, n)
-        for w, sign, mexp, inblock in rows:
-            lw = inblock.shift(mexp)
-            if sign < 0:
-                lw = -lw
-            total = total + vals[w] * RationalFunction.of(lw, n)
-        result = total / RationalFunction.of(vandermonde, n)
+    remaining = LaurentPolynomial.one(n)
+    for den in {v.den for v in vals.values()}:
+        remaining = remaining * den
+    num = LaurentPolynomial.zero(n)
+    for w, sign, mexp, inblock in rows:
+        v = vals[w]
+        term = v.num * (inblock * divexact(remaining, v.den))
+        if sign < 0:
+            term = -term
+        num = num + term.shift(mexp)
+    for f in factors:
+        try:
+            num = divexact(num, f)
+        except ValueError:
+            remaining = remaining * f
+    result = RationalFunction(num, remaining)
     if not result.is_laurent():
         warnings.warn("euler characteristic has a surviving denominator", RuntimeWarning)
     return result
@@ -368,7 +351,7 @@ def expand_schubert(sigma: KClass, basis: str = "B") -> dict:
             if not (a.is_zero() or classes[v][x].is_zero()):
                 acc = acc - a * classes[v][x]
         diag = classes[x][x]
-        coords[x] = _exact_div(acc.num * diag.den, acc.den * diag.num)
+        coords[x] = acc / diag
     if any(not c.is_laurent() for c in coords.values()):
         warnings.warn("expansion has non-Laurent coordinates", RuntimeWarning)
     return {w: coords[w] for w in reps}

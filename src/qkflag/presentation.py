@@ -706,23 +706,21 @@ def coulomb_equivalence(space: FlagSpace, negative_control: bool = False) -> dic
     # a relation counts as a member when some small product of those units
     # multiplies it into the polynomial ideal.
     grid = sorted(iproduct(range(3), repeat=k), key=lambda ab: (sum(ab), ab))
-    units = [RationalFunction.of(_q_unit(space, j), nv) for j in range(1, k + 1)]
+    multipliers = []
+    for ab in grid[1:]:
+        m = LaurentPolynomial.one(nv)
+        for j, power in enumerate(ab):
+            m = m * _q_unit(space, j + 1) ** power
+        multipliers.append(m)
     for idx, g in enumerate(coul.generators):
         sub = clear_q_units(pres_substitute(g, images))
-        scaled = []
-        for ab in grid:
-            q = sub
-            for j, power in enumerate(ab):
-                for _ in range(power):
-                    q = q * units[j]
-            scaled.append(_gb_from_pres(q))
-        if not scaled[0]:
-            continue
-        if any(not _reduce_full(p, basis) for p in scaled):
+        remainder = _reduce_full(_gb_from_pres(sub), basis)
+        if not remainder or any(not _reduce_full(_gb_from_pres(sub * m), basis)
+                                for m in multipliers):
             continue
         witnesses.append({
             "relation": f"critical-locus-{idx + 1}",
-            "remainder": _render_member(_reduce_full(scaled[0], basis), names, n),
+            "remainder": _render_member(remainder, names, n),
         })
     return _report("coulomb-equivalence", space, None,
                    "FAIL" if witnesses else "PASS", witnesses)

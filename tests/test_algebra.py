@@ -221,6 +221,17 @@ def test_monomial_denominator_absorbed():
     r = RationalFunction(T(1) + T(2), LaurentPolynomial.monomial(2, (0, 1)))
     assert r.is_laurent()
     assert r.num == T(1) * T(2) ** -1 + 1
+    # integer-coefficient monomials: the unit part goes to the numerator and
+    # only the coefficient left after cancelling the content stays below
+    one = LaurentPolynomial.one(2)
+    zero = LaurentPolynomial.zero(2)
+    for num, den, want_num, want_den in [
+            (2 * T(1) + 4, -2 * T(2), -(T(1) + 2) * T(2) ** -1, one),
+            (3 * T(1) + 1, 2 * T(1), 3 + T(1) ** -1, 2 * one),
+            (T(1), -T(2), -T(1) * T(2) ** -1, one),
+            (zero, T(1) - T(2), zero, one)]:
+        r = RationalFunction(num, den)
+        assert (r.num, r.den) == (want_num, want_den)
 
 
 # -- truncated q-series ----------------------------------------------------

@@ -11,8 +11,11 @@ import sys
 
 import pytest
 
+import qkflag.cli
 import qkflag.qk
 from qkflag.cli import dispatch
+from qkflag.ktheory import one_class
+from qkflag.qk import embed_classical
 from qkflag.weyl import min_coset_reps
 
 
@@ -95,11 +98,13 @@ def test_readme_examples_match_golden_digests(capsys):
 @pytest.mark.parametrize("command", [
     "product --n 4 --L detS3 --sigma one --conditional --qdeg 1",
     "verify flag-reduction --n 4",
+    "verify coulomb --n 3",
 ])
 def test_integral_commands_do_not_import_sympy(command):
     # sympy backs only the gcd of genuine fractions; its import roughly
     # doubles a command's peak memory, so a class that falls back from exact
-    # Laurent division to fraction arithmetic shows up here
+    # Laurent division to fraction arithmetic shows up here, and so does a
+    # (1 - q_j) cancellation in the Coulomb check that is not exact division
     probe = ("import contextlib, io, sys\n"
              "from qkflag.cli import dispatch\n"
              "with contextlib.redirect_stdout(io.StringIO()):\n"
@@ -291,6 +296,11 @@ def test_no_oracle_space_rejected(capsys):
     ("verify", "incidence", "--n", "3", "--coeffs", "exact"),
     # at truncation 0 the degree-drop families have nothing to check
     ("verify", "flag-reduction", "--n", "3", "--qdeg", "0"),
+    # two-point invariants take no line bundle and no conditional oracle
+    ("gw", "--n", "3", "--ranks", "1,2", "--type", "2pt", "--sigma", "detS2",
+     "--w", "123", "--d", "0,1", "--L", "detS1"),
+    ("gw", "--n", "3", "--ranks", "1,2", "--type", "2pt", "--sigma", "detS2",
+     "--w", "123", "--d", "0,1", "--conditional"),
 ])
 def test_usage_errors_exit_2(capsys, argv):
     code, out, err = run(capsys, *argv)
@@ -318,6 +328,29 @@ def test_internal_error_exits_4(capsys, monkeypatch):
     assert code == 4
     assert out == ""
     assert "quantum metric solve failed" in err
+
+
+def test_verify_presentation_reports_wrong_dimensions(capsys, monkeypatch):
+    monkeypatch.setattr(qkflag.cli, "groebner_dimension", lambda *args: 0)
+    code, doc, _ = run_json(capsys, "verify", "presentation", "--n", "3")
+    assert code == 1
+    assert doc["status"] == "FAIL"
+    assert {"relation": "dimension-classical", "dimension": 0,
+            "expected": 6} in doc["witnesses"]
+
+
+def test_verify_presentation_reports_surviving_images(capsys, monkeypatch):
+    # an evaluation map that kills nothing leaves every relation and the
+    # kernel element standing
+    monkeypatch.setattr(qkflag.cli, "psi_evaluate", lambda gen, bound:
+                        embed_classical(one_class(gen.space), bound))
+    code, doc, _ = run_json(capsys, "verify", "presentation", "--n", "3")
+    assert code == 1
+    assert doc["status"] == "FAIL"
+    relations = [wit["relation"] for wit in doc["witnesses"]]
+    assert "psi-quantum-polynomial-1" in relations
+    assert "psi-quantum-power-series-1" in relations
+    assert "psi-kernel-element" in relations
 
 
 def test_library_has_no_assert_statements():

@@ -410,6 +410,13 @@ def test_euler_char_warns_when_denominator_survives():
     assert not chi.is_laurent()
     expected = rf(1, 2) / rf(LaurentPolynomial.one(2) - tvar(2, 1) * tvar(2, 2).inverse_unit(), 2)
     assert chi == expected
+    # restrictions with a genuine denominator: chi(O_w) = 1, so scaling a
+    # Schubert class by c scales its Euler characteristic by c
+    space = FlagSpace(3, (1, 2))
+    c = RationalFunction(LaurentPolynomial.one(3), tvar(3, 1) - tvar(3, 2))
+    for w in min_coset_reps(space):
+        with pytest.warns(RuntimeWarning):
+            assert euler_char(schubert_class(space, w) * c) == c
 
 
 def test_euler_char_is_linear_over_constants():

@@ -512,6 +512,42 @@ def test_flag_reduction_catches_skipped_surgery():
     assert "degree-drop-word" in relations
 
 
+def _relations(report):
+    return {wit["relation"] for wit in report["witnesses"]}
+
+
+def test_whitney_catches_mutated_sub_line_invariant(monkeypatch):
+    # a three-point value through the rank-one subbundle that is off by one
+    # must break the invariant-level splitting of S_2
+    real = qk.gw3_divisor
+
+    def shifted(oracle, L, sigma, w, d):
+        return real(oracle, L, sigma, w, d) + (1 if L == ("sub1",) else 0)
+
+    monkeypatch.setattr(qk, "gw3_divisor", shifted)
+    report = verify_qk_whitney(FL3, 1)
+    assert report["status"] == "FAIL"
+    assert "sub-line-invariants" in _relations(report)
+
+
+def test_flag_reduction_catches_wrong_neighborhood_images(monkeypatch):
+    # without the Demazure images the degree-drop identity compares
+    # wedge(S_i) with wedge(S_{i-1}) directly
+    monkeypatch.setattr(qk, "demazure_word", lambda word, sigma: sigma)
+    report = verify_flag_reduction(3, 1)
+    assert report["status"] == "FAIL"
+    assert "degree-drop-neighborhoods" in _relations(report)
+
+
+def test_flag_reduction_catches_wrong_pairings(monkeypatch):
+    real = qk.pairings
+    monkeypatch.setattr(qk, "pairings",
+                        lambda sigma: {g: c + 1 for g, c in real(sigma).items()})
+    report = verify_flag_reduction(3, 1)
+    assert report["status"] == "FAIL"
+    assert "adjacent-det-pairing" in _relations(report)
+
+
 def test_conjectural_products_small_flag():
     products, report = conjectural_product_fln(3, 1)
     assert report["status"] == "CONDITIONAL-PASS"
