@@ -148,6 +148,13 @@ class LaurentPolynomial:
 
     __rmul__ = __mul__
 
+    def __truediv__(self, other):
+        """Exact quotient, see :func:`divexact`."""
+        other = self._coerce(other)
+        if other is NotImplemented:
+            return NotImplemented
+        return divexact(self, other)
+
     def inverse_unit(self) -> "LaurentPolynomial":
         """Inverse of a unit (+- monomial with coefficient +-1)."""
         if self.is_monomial():
@@ -389,6 +396,8 @@ class RationalFunction:
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
+        if self.den == other.den:
+            return RationalFunction(self.num + other.num, self.den)
         return RationalFunction(self.num * other.den + other.num * self.den, self.den * other.den)
 
     __radd__ = __add__
@@ -412,6 +421,8 @@ class RationalFunction:
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
+        if self.den.is_one() and other.den.is_one():
+            return RationalFunction(self.num * other.num)
         return RationalFunction(self.num * other.num, self.den * other.den)
 
     __rmul__ = __mul__

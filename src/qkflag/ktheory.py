@@ -181,8 +181,7 @@ def _demazure_value(a: RationalFunction, b: RationalFunction, ta: int, tb: int,
                     n: int) -> RationalFunction:
     # (a - x b)/(1 - x) with x = T_ta/T_tb, cleared to (T_tb a - T_ta b)/(T_tb - T_ta)
     va, vb = _tchar(n, ta), _tchar(n, tb)
-    num = a.num * (vb * b.den) - b.num * (va * a.den)
-    return RationalFunction(num, (vb - va) * a.den * b.den)
+    return (a * vb - b * va) / (vb - va)
 
 
 def demazure_op(i: int, sigma: KClass) -> KClass:

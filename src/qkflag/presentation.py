@@ -28,6 +28,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache, partial
 from itertools import product as iproduct
+from math import prod
 import random
 
 from .algebra import (
@@ -37,6 +38,7 @@ from .algebra import (
     default_names,
     divexact,
     qs_inverse,
+    render_laurent,
     render_rational,
     t_elem,
 )
@@ -460,11 +462,13 @@ def _coulomb_generators(space: FlagSpace) -> list:
 
 # -- Groebner engine ---------------------------------------------------------
 #
-# Polynomials are dicts from exponent tuples to field elements (Fraction, or
-# RationalFunction in the torus weights).  Graded reverse lexicographic
-# order throughout.  Basis elements are kept monic: _monic is the one place
-# that divides by a leading coefficient, so reduction and S-polynomials
-# only multiply and subtract.
+# Polynomials are dicts from exponent tuples to nonzero coefficients: Fraction
+# (seeded dimensions) or LaurentPolynomial in the torus weights (exact
+# dimensions, Coulomb membership).  Graded reverse lexicographic order
+# throughout.  Basis elements are kept monic: _monic is the one place that
+# divides by a leading coefficient, so reduction and S-polynomials only
+# multiply and subtract.  Laurent division must be exact, which keeps every
+# value equal to its fraction-field counterpart; otherwise RuntimeError.
 
 def _grevlex_key(e: tuple) -> tuple:
     return (sum(e), tuple(-x for x in reversed(e)))
@@ -482,7 +486,11 @@ def _monic(p: dict) -> tuple:
     """The basis element (leading exponent, p / leading coefficient)."""
     lead = _lt(p)
     c = p[lead]
-    return lead, {e: x / c for e, x in p.items()}
+    try:
+        return lead, {e: x / c for e, x in p.items()}
+    except ValueError:
+        raise RuntimeError("Groebner basis leading coefficient does not divide "
+                           "its polynomial in the Laurent ring") from None
 
 
 def _reduce_full(p: dict, basis: list) -> dict:
@@ -492,8 +500,6 @@ def _reduce_full(p: dict, basis: list) -> dict:
     while work:
         lead = max(work, key=_grevlex_key)
         c = work.pop(lead)
-        if c == 0:
-            continue
         hit = next((b for b in basis if _divides(b[0], lead)), None)
         if hit is None:
             out[lead] = c
@@ -578,53 +584,35 @@ def _seed_values(seed: int, n: int) -> list:
     return vals
 
 
-def _eval_fraction(c: RationalFunction, tvals: list, n: int) -> Fraction:
-    def ev(p):
-        total = Fraction(0)
-        for e, co in p.terms.items():
-            if any(e[n:]):
-                raise ValueError("quantum parameters survived specialization")
-            v = Fraction(co)
-            for i in range(n):
-                if e[i]:
-                    v *= tvals[i] ** e[i]
-            total += v
-        return total
-    den = ev(c.den)
-    if den == 0:
-        raise RuntimeError("torus specialization hit a pole; change the seed")
-    return ev(c.num) / den
+def _eval_laurent(p: LaurentPolynomial, tvals: list) -> Fraction:
+    return sum(co * prod(t ** x for t, x in zip(tvals, e)) for e, co in p.terms.items())
 
 
 def groebner_dimension(spec: IdealSpec, seeds: tuple = (0, 1),
                        exact: bool = False) -> int:
     """Dimension over the function field of the quotient by the ideal at q=0.
 
-    The torus weights are specialized to seeded distinct nonzero rationals
-    and the count of standard monomials is required to agree across seeds.
-    With ``exact`` the computation runs over honest rational functions in
-    the weights instead, which is affordable for n <= 3.  Raises if the
-    specialized quotient fails to be zero-dimensional.
+    Each q = 0 coefficient must be a Laurent polynomial in the torus weights
+    (``ValueError`` otherwise).  The Groebner engine runs over ``Fraction``
+    with the weights specialized to seeded distinct nonzero rationals, and
+    the count of standard monomials must agree across seeds; with ``exact``
+    it runs over the Laurent polynomials, dividing exactly, which is
+    affordable for n <= 3.  Raises ``RuntimeError`` if the specialized
+    quotient fails to be zero-dimensional.
     """
     if not spec.generators:
         raise ValueError("empty ideal")
     n, k = spec.space.n, spec.space.k
     if exact and n > 3:
         raise ValueError("exact coefficient mode is supported for n <= 3")
-    gens0 = [pres_q0(g) for g in spec.generators]
-    nv = len(spec.generators[0].names)
     q0 = (0,) * k
-
-    def value(c, tvals):
-        # the q-free coefficient over the weights, or its value at tvals
-        if tvals is None:
-            return RationalFunction(_split_q(c.num, n, k)[q0], _split_q(c.den, n, k)[q0])
-        return _eval_fraction(c, tvals, n)
-
+    gens0 = [{e: _split_q(c.as_laurent(), n, k)[q0] for e, c in pres_q0(g).terms.items()}
+             for g in spec.generators]
+    nv = len(spec.generators[0].names)
     counts = []
     for tvals in [None] if exact else [_seed_values(seed, n) for seed in seeds]:
-        polys = [{e: v for e, c in g.terms.items() if (v := value(c, tvals)) != 0}
-                 for g in gens0]
+        polys = gens0 if tvals is None else [
+            {e: v for e, c in g.items() if (v := _eval_laurent(c, tvals)) != 0} for g in gens0]
         d = _quotient_dimension(_buchberger(polys), nv)
         if d is None:
             raise RuntimeError("quotient at q = 0 is not zero-dimensional")
@@ -638,25 +626,12 @@ def groebner_dimension(spec: IdealSpec, seeds: tuple = (0, 1),
 
 def _gb_from_pres(p: PresPoly) -> dict:
     """Flatten a presentation polynomial into the membership ring, where the
-    quantum parameters become honest polynomial variables after the torus
-    weights are pushed into the coefficient field."""
+    quantum parameters become honest polynomial variables and the torus
+    weights stay in Laurent coefficients, which the Groebner engine divides
+    exactly.  Clear the (1 - q_j) denominators first (``ValueError``)."""
     n, k = p.space.n, p.space.k
-    out: dict = {}
-    for e, c in p.terms.items():
-        den_parts = _split_q(c.den, n, k)
-        if set(den_parts) != {(0,) * k}:
-            raise ValueError("clear the (1 - q_j) denominators first")
-        den0 = den_parts[(0,) * k]
-        for qe, pnum in _split_q(c.num, n, k).items():
-            key = e + qe
-            v = RationalFunction(pnum, den0)
-            prev = out.get(key)
-            v = v if prev is None else prev + v
-            if v.is_zero():
-                out.pop(key, None)
-            else:
-                out[key] = v
-    return out
+    return {e + qe: part for e, c in p.terms.items()
+            for qe, part in _split_q(c.as_laurent(), n, k).items()}
 
 
 def _render_member(p: dict, names: list, n: int) -> str:
@@ -665,7 +640,7 @@ def _render_member(p: dict, names: list, n: int) -> str:
     for e in sorted(p, key=_grevlex_key, reverse=True):
         mono = "*".join(nm if x == 1 else f"{nm}^{x}"
                         for nm, x in zip(names, e) if x)
-        cs = render_rational(p[e], tnames)
+        cs = render_laurent(p[e], tnames)
         pieces.append(f"({cs})*{mono}" if mono else f"({cs})")
     return " + ".join(pieces) if pieces else "0"
 

@@ -108,6 +108,7 @@ def test_divexact_recovers_factor(a, b):
     if b.is_zero():
         return
     assert divexact(a * b, b) == a
+    assert (a * b) / b == a
 
 
 def test_divexact_rejects_nondivisible():
@@ -117,6 +118,16 @@ def test_divexact_rejects_nondivisible():
         divexact(a, b)
     with pytest.raises(ZeroDivisionError):
         divexact(a, LaurentPolynomial.zero(2))
+    # `/` on Laurent polynomials is the same exact division
+    assert (2 * a * b) / 2 == a * b
+    with pytest.raises(ValueError):
+        a / b
+    with pytest.raises(ValueError):
+        a / 2
+    with pytest.raises(ZeroDivisionError):
+        a / LaurentPolynomial.zero(2)
+    with pytest.raises(ZeroDivisionError):
+        a / 0
 
 
 @given(laurent_polys(max_terms=3, exp_range=2), laurent_polys(max_terms=3, exp_range=2),

@@ -99,6 +99,7 @@ def test_readme_examples_match_golden_digests(capsys):
     "product --n 4 --L detS3 --sigma one --conditional --qdeg 1",
     "verify flag-reduction --n 4",
     "verify coulomb --n 3",
+    "verify presentation --n 3 --coeffs exact",
 ])
 def test_integral_commands_do_not_import_sympy(command):
     # sympy backs only the gcd of genuine fractions; its import roughly

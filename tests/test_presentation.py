@@ -31,7 +31,9 @@ from qkflag import (
     psi_evaluate,
     render_pres,
 )
+from qkflag import presentation
 from qkflag.algebra import elem_sym
+from qkflag.cli import dispatch
 
 INC3 = FlagSpace(3, (1, 2))
 GR13 = FlagSpace(3, (1,))
@@ -194,6 +196,38 @@ def test_exact_dimension_mode():
                               exact=True) == 6
     with pytest.raises(ValueError, match="n <= 3"):
         groebner_dimension(ideal_generators(INC4, "classical"), exact=True)
+    # the engine runs over Laurent coefficients, so a q = 0 coefficient that
+    # is a genuine fraction is refused in either mode
+    gens = ideal_generators(INC3, "classical").generators
+    nv = INC3.n + INC3.k
+    frac = RationalFunction(LaurentPolynomial.one(nv),
+                            LaurentPolynomial.variable(nv, 1) + 1)
+    spec = IdealSpec("classical", INC3, (gens[0] * frac,) + gens[1:])
+    for exact in (False, True):
+        with pytest.raises(ValueError, match="denominator"):
+            groebner_dimension(spec, exact=exact)
+
+
+def test_inexact_leading_coefficient_is_an_internal_error(capsys, monkeypatch):
+    # doubling the leading coefficient of the first generator leaves it
+    # dividing none of that generator's +-1 coefficients, so the Laurent
+    # engine would need a fraction it does not carry
+    real = presentation._buchberger
+
+    def skewed(gens):
+        first = dict(gens[0])
+        lead = presentation._lt(first)
+        first[lead] = first[lead] * 2
+        return real([first] + gens[1:])
+
+    monkeypatch.setattr(presentation, "_buchberger", skewed)
+    with pytest.raises(RuntimeError, match="leading coefficient"):
+        groebner_dimension(ideal_generators(INC3, "classical"), exact=True)
+    # at the command line that is an internal error: exit 4, no verdict
+    assert dispatch(["verify", "coulomb", "--n", "3"]) == 4
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "leading coefficient" in err
 
 
 def test_positive_dimensional_quotient_is_refused():
@@ -225,10 +259,17 @@ def test_coulomb_negative_control_fails():
 def test_coulomb_negative_control_witnesses_pinned():
     # the remainders are normal forms modulo the Groebner basis, so a change
     # to the reduction path must reproduce them byte for byte
-    rep = coulomb_equivalence(INC3, negative_control=True)
-    assert [w["relation"] for w in rep["witnesses"]] == ["critical-locus-1", "critical-locus-2"]
-    digest = hashlib.sha256(json.dumps(rep["witnesses"], sort_keys=True).encode()).hexdigest()
-    assert digest == "0acc45ce3a0e66a51674193956e9b284580b55f0759fd3309915e7ac097fa395"
+    pins = [
+        (INC3, ["critical-locus-1", "critical-locus-2"],
+         "0acc45ce3a0e66a51674193956e9b284580b55f0759fd3309915e7ac097fa395"),
+        (INC4, ["critical-locus-2", "critical-locus-3"],
+         "f4ccaca855fbd4cab13a34278a00a8d5ce0bb8a525cb1cfb77378e8560873731"),
+    ]
+    for space, relations, want in pins:
+        rep = coulomb_equivalence(space, negative_control=True)
+        assert [w["relation"] for w in rep["witnesses"]] == relations
+        digest = hashlib.sha256(json.dumps(rep["witnesses"], sort_keys=True).encode()).hexdigest()
+        assert digest == want, space
 
 
 def test_coulomb_needs_incidence():
