@@ -142,12 +142,16 @@ def _apply_defaults(args, parser):
 
 
 def _parse_ints(text: str, parser, what: str) -> tuple:
+    """Comma-separated integers, one per field."""
     try:
-        if "," in text:
-            return tuple(int(x) for x in text.split(","))
-        return tuple(int(ch) for ch in text)
+        return tuple(int(x) for x in text.split(","))
     except ValueError:
         parser.error(f"could not parse {what} {text!r}")
+
+
+def _parse_perm(text: str, parser, what: str) -> tuple:
+    """A one-line permutation: comma-separated, or one digit per entry."""
+    return _parse_ints(text if "," in text else ",".join(text), parser, what)
 
 
 def _get_space(args, parser) -> FlagSpace:
@@ -166,7 +170,7 @@ def _get_space(args, parser) -> FlagSpace:
 
 
 def _get_perm(args, space, parser) -> tuple:
-    w = _parse_ints(args.w, parser, "--w")
+    w = _parse_perm(args.w, parser, "--w")
     if sorted(w) != list(range(1, space.n + 1)):
         parser.error(f"--w {args.w!r} is not a permutation of 1..{space.n}")
     return w
@@ -192,7 +196,7 @@ def _get_class(text: str, space, parser):
         if text.startswith("O:") or text.startswith("O-:"):
             variant, w = text.split(":")
             basis = "B" if variant == "O" else "B-"
-            return schubert_class(space, _parse_ints(w, parser, "--sigma"), basis)
+            return schubert_class(space, _parse_perm(w, parser, "--sigma"), basis)
         if text == "one":
             return bundle_class(space, 1, 0)
     except (ValueError, KeyError):

@@ -29,6 +29,7 @@ non-line-bundle classes are out of scope.
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import product as iter_product
+from operator import sub
 
 from .algebra import LaurentPolynomial, QSeries, RationalFunction, _grlex_key, t_elem
 from .curves import curve_neighborhood_schubert
@@ -112,8 +113,6 @@ class GWOracle:
         return self.mode != "full-flag-conjectural"
 
     def divisor_steps(self) -> tuple[int, ...]:
-        if self.mode == "grassmannian-proven":
-            return (1,)
         return tuple(range(1, self.space.k + 1))
 
 
@@ -357,37 +356,27 @@ def basis_element(space: FlagSpace, w: Perm, bound: int) -> QKElement:
 
 def _triangular_solve(space: FlagSpace, bound: int, rows: list, rhs: dict,
                       diag: dict | None = None) -> dict:
-    """Solve sum_c A[r][c] x_c = rhs_r for truncated q-series unknowns.
+    """Solve diag[r] x_r + sum_(t, c, a) a q^t x_c = rhs_r for truncated
+    q-series unknowns.
 
-    rows lists (r, entries) in solving order, entries mapping each column c
-    to the q-series A[r][c].  The q = 0 part must be triangular for that
-    order: a row's constant entries off the diagonal involve only unknowns
-    of earlier rows, and the diagonal constant is diag[r], or 1 when diag is
-    None.  Callers check this.  Every degree is then solved in order of
-    total degree by exact substitution, dividing only by diag.
+    rows lists (r, terms) in solving order, terms holding every entry of row
+    r except its constant diagonal one, as (t, c, a) for a * q^t at column c.
+    The q = 0 part must be triangular for that order: a term with t = 0
+    involves only unknowns of earlier rows.  The diagonal constant is diag[r],
+    or 1 when diag is None.  Callers check this.  Every degree is then solved
+    in order of total degree by exact substitution, dividing only by diag; a
+    shift beyond the current degree finds no solved entry.
     """
     k, n = space.k, space.n
-    zero_deg = (0,) * k
     zero = RationalFunction.of(0, n)
-    plan = []
-    for r, entries in rows:
-        shifts: dict = {}
-        for c, qs in entries.items():
-            for t, a in qs.coeffs.items():
-                if c != r or t != zero_deg:
-                    shifts.setdefault(t, []).append((c, a))
-        plan.append((r, list(shifts.items())))
     sol: dict = {r: {} for r, _ in rows}
     for dcur in degree_box(k, bound):
-        for r, shifts in plan:
+        for r, terms in rows:
             acc = rhs[r].coeffs.get(dcur, zero)
-            for t, terms in shifts:
-                if all(x <= y for x, y in zip(t, dcur)):
-                    key = tuple(y - x for x, y in zip(t, dcur))
-                    for c, a in terms:
-                        sv = sol[c].get(key)
-                        if sv is not None:
-                            acc = acc - a * sv
+            for t, c, a in terms:
+                sv = sol[c].get(tuple(map(sub, dcur, t)))
+                if sv is not None:
+                    acc = acc - a * sv
             if diag is not None:
                 acc = acc / diag[r]
             if not acc.is_zero():
@@ -402,31 +391,28 @@ def _det_column(space: FlagSpace, j: int, dropped: bool, bound: int,
 
     The metric is sum_d q^d P_d Z and the three-point column is
     sum_d q^d P_d b over the degrees the vanishing rule allows, with
-    b_g = chi(det S_j * O_w * O_g).  So y = Z s solves P y = P' b: each row
-    u of P has the entry q^d at column Gamma_d(u), and P' keeps only the
-    allowed degrees.  y_g is the classical pairing of the product against
-    O_g, and the dual classes turn it into O_w coordinates.  dropped selects
-    the mutated vanishing rule on step j.
+    b_g = chi(det S_j * O_w * O_g).  So y = Z s solves P y = P' b: row u of
+    P has the entry q^d at column Gamma_d(u), so its labels with d != 0 are
+    the solver's terms (the d = 0 label is the unit diagonal), and P' keeps
+    only the allowed degrees.  y_g is the classical pairing of the product
+    against O_g, and the dual classes D_g turn it into O_w coordinates,
+    summed into one coordinate dict.  dropped selects the mutated vanishing
+    rule on step j.
     """
     k, n = space.k, space.n
     one = RationalFunction.of(1, n)
     b = pairings(det_class(space, j) * schubert_class(space, w, "B"))
     rows, rhs = [], {}
     for u, labels in _neighborhoods(space, bound).items():
-        entries: dict = {}
-        allowed = {}
-        for d, g in labels:
-            entries.setdefault(g, {})[d] = one
-            if not _vanishes(d, j, dropped):
-                allowed[d] = b[g]
-        rows.append((u, {g: QSeries(k, n, bound, c) for g, c in entries.items()}))
-        rhs[u] = QSeries(k, n, bound, allowed)
+        rows.append((u, [(d, g, one) for d, g in labels if any(d)]))
+        rhs[u] = QSeries(k, n, bound, {d: b[g] for d, g in labels
+                                       if not _vanishes(d, j, dropped)})
     dual = _dual_classes(space)
-    out = QKElement(space, bound, {})
-    for g, qs in _triangular_solve(space, bound, rows, rhs).items():
-        out = out + QKElement(space, bound, {
-            u: qs * c for u, c in dual[g].items() if not c.is_zero()})
-    return out
+    coords: dict = {}
+    for g, y in _triangular_solve(space, bound, rows, rhs).items():
+        for u, c in dual[g].items():
+            coords[u] = coords[u] + y * c if u in coords else y * c
+    return QKElement(space, bound, coords)
 
 
 def _line_operands(oracle: GWOracle, L, sigma: QKElement, bound: int):
@@ -469,22 +455,31 @@ def line_bundle_product(oracle: GWOracle, L, sigma: QKElement,
 
 @lru_cache(maxsize=None)
 def _line_matrix(oracle: GWOracle, L, bound: int):
-    """Matrix of the product operator for a line class, as columns over
-    the basis.  The classical part is supported on u <= w in Bruhat order
-    with an invertible restriction on the diagonal, which is what makes
-    the operator invertible within the truncation."""
+    """The product operator of a line class as _triangular_solve's rows and
+    diagonal.  Row u holds the O_u coordinates of the columns L * O_w, rows
+    run in reverse basis order, and diag[w] is the constant entry at (w, w).
+    The classical part is supported on u <= w in Bruhat order with an
+    invertible restriction on the diagonal, which is what makes the operator
+    invertible within the truncation."""
     space = oracle.space
     reps = min_coset_reps(space)
     index = {u: i for i, u in enumerate(reps)}
-    cols = {}
+    zero_deg = (0,) * space.k
+    terms: dict = {u: [] for u in reps}
+    diag = {}
     for w in reps:
         col = line_bundle_product(oracle, L, basis_element(space, w, bound), bound)
         for u, qs in col.coords.items():
-            c = qs.constant_term()
-            if not c.is_zero() and index[u] > index[w]:
-                raise RuntimeError("line product operator is not triangular")
-        cols[w] = col
-    return cols
+            for t, a in qs.coeffs.items():
+                if t == zero_deg and u == w:
+                    diag[w] = a
+                elif t == zero_deg and index[u] > index[w]:
+                    raise RuntimeError("line product operator is not triangular")
+                else:
+                    terms[u].append((t, w, a))
+        if w not in diag:
+            raise RuntimeError("line product operator has a singular diagonal")
+    return [(u, terms[u]) for u in reversed(reps)], diag
 
 
 def line_bundle_solve(oracle: GWOracle, L, sigma: QKElement,
@@ -507,15 +502,7 @@ def line_bundle_solve(oracle: GWOracle, L, sigma: QKElement,
         if value.is_zero():
             raise ValueError(f"{L!r} vanishes at the fixed point {w}, "
                              "so it is not a unit")
-    cols = _line_matrix(oracle, L, bound)
-    diag = {}
-    for w in reps:
-        c = cols[w].at(w).constant_term()
-        if c.is_zero():
-            raise RuntimeError("line product operator has a singular diagonal")
-        diag[w] = c
-    rows = [(w, {wp: cols[wp].coords[w] for wp in reps if w in cols[wp].coords})
-            for w in reversed(reps)]
+    rows, diag = _line_matrix(oracle, L, bound)
     rhs = {w: sigma.at(w) for w in reps}
     return QKElement(space, bound,
                      _triangular_solve(space, bound, rows, rhs, diag))

@@ -303,8 +303,8 @@ def _active_components(space: FlagSpace, d: Degree) -> list[tuple[int, int]]:
     and containing at least one rank of positive degree.
 
     Peeling the root of such an interval lowers by one each degree
-    coordinate whose rank lies inside; the recursion bottoms out at zero
-    because every active component contains a positive coordinate.
+    coordinate whose rank lies inside; peeling stops at zero because every
+    active component contains a positive coordinate.
     """
     zero_marks = {r for r, c in zip(space.ranks, d) if c == 0}
     positive_marks = {r for r, c in zip(space.ranks, d) if c > 0}
@@ -333,11 +333,13 @@ def _peel(space: FlagSpace, d: Degree, comp: tuple[int, int]) -> tuple[Root, Deg
 
 @lru_cache(maxsize=None)
 def _z_d_peels(space: FlagSpace, d: Degree) -> tuple[Root, ...]:
+    peels = []
     comps = _active_components(space, d)
-    if not comps:
-        return ()
-    beta, lowered = _peel(space, d, comps[0])
-    return (beta,) + _z_d_peels(space, lowered)
+    while comps:
+        beta, d = _peel(space, d, comps[0])
+        peels.append(beta)
+        comps = _active_components(space, d)
+    return tuple(peels)
 
 
 @lru_cache(maxsize=None)
@@ -352,8 +354,8 @@ def _z_d(space: FlagSpace, d: Degree) -> Perm:
 
 
 def z_d(space: FlagSpace, d: Degree) -> Perm:
-    """The Weyl label of the degree-d neighborhood of a point: peel a
-    maximal root below d, recurse, and take the Hecke product."""
+    """The Weyl label of the degree-d neighborhood of a point: peel maximal
+    roots off d until none is left, and take the Hecke product."""
     return _z_d(space, _check_effective(space, d))
 
 

@@ -132,6 +132,27 @@ def test_config_embedded_everywhere(capsys):
     assert doc["gamma"] == [4, 2, 3, 1]
 
 
+def test_large_degree_peels_without_recursion(capsys):
+    # z_d peels one root per unit of degree; on Fl(1,2;3) every degree
+    # (d, 0) with d >= 1 has the same neighborhood label
+    argv = ["curve-nbhd", "--n", "3", "--w", "123", "--d"]
+    code, big, _ = run_json(capsys, *argv, "600,0")
+    assert code == 0
+    _, small, _ = run_json(capsys, *argv, "1,0")
+    assert big["zd"] == small["zd"] == [2, 1, 3]
+    assert big["gamma"] == small["gamma"] == [2, 1, 3]
+
+
+def test_degree_fields_are_whole_integers(capsys):
+    # --d 12 on a Grassmannian is the single degree twelve, not (1, 2)
+    argv = ["curve-nbhd", "--n", "4", "--ranks", "2", "--w", "1324", "--d"]
+    code, twelve, _ = run_json(capsys, *argv, "12")
+    assert code == 0
+    assert twelve["config"]["params"]["d"] == [12]
+    _, two, _ = run_json(capsys, *argv, "2")
+    assert twelve["gamma"] == two["gamma"] == [3, 4, 1, 2]
+
+
 def test_stdout_is_json_only(capsys):
     code, out, err = run(capsys, "schubert", "--n", "3", "--w", "213")
     assert code == 0
@@ -194,6 +215,19 @@ def test_verify_coulomb(capsys):
     assert doc["status"] == "PASS"
     assert hashlib.sha256(out.encode()).hexdigest() == \
         "31dd7ca06ba7ed800035dac73f565bcc0f9556809e0ea803fb55ce4fc0a9b9ff"
+
+
+@pytest.mark.parametrize("command, digest", [
+    ("verify incidence --n 4 --ranks 1,3 --qdeg 1",
+     "5382890b4aaacd341034e3030d6556706d3691bbe0a383c88ac3edeed5b44a6b"),
+    # runs line_bundle_solve through psi
+    ("verify presentation --n 4 --ranks 1,3 --qdeg 1",
+     "12ca94635cdaa5860d10612b1827cfc367084e941a6c2cd9cbb797314f7ced66"),
+], ids=["incidence", "presentation"])
+def test_fl134_verify_digests(capsys, command, digest):
+    code, out, _ = run(capsys, *command.split())
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 def test_gw_det_of_zero_bundle_is_one(capsys):
@@ -302,6 +336,8 @@ def test_no_oracle_space_rejected(capsys):
      "--w", "123", "--d", "0,1", "--L", "detS1"),
     ("gw", "--n", "3", "--ranks", "1,2", "--type", "2pt", "--sigma", "detS2",
      "--w", "123", "--d", "0,1", "--conditional"),
+    # --ranks is comma-separated: 13 is the single rank thirteen
+    ("table", "--n", "4", "--ranks", "13", "--qdeg", "0"),
 ])
 def test_usage_errors_exit_2(capsys, argv):
     code, out, err = run(capsys, *argv)

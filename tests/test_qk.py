@@ -7,12 +7,14 @@ degree-zero sector is classical and that pairings against a determinant
 line vanish in positive degree along its own step.
 """
 
+import hashlib
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qkflag import qk
-from qkflag.algebra import LaurentPolynomial, QSeries, RationalFunction, t_elem
+from qkflag.algebra import LaurentPolynomial, QSeries, RationalFunction, render_qseries, t_elem
 from qkflag.curves import curve_neighborhood_schubert
 from qkflag.ktheory import (
     bundle_class,
@@ -307,7 +309,10 @@ def _whole_vector_det_product(space, j, sigma, bound, mode="incidence-proven"):
                 for d in degree_box(k, bound)})
         b[u] = acc
     gram = quantum_gram(space, bound)
-    sol = qk._triangular_solve(space, bound, [(u, gram[u]) for u in reps], b)
+    # every entry but the constant diagonal 1, as the solver's sparse terms
+    rows = [(u, [(t, v, a) for v, qs in gram[u].items() for t, a in qs.coeffs.items()
+                 if v != u or any(t)]) for u in reps]
+    sol = qk._triangular_solve(space, bound, rows, b)
     out = QKElement(space, bound, {})
     for v, qs in sol.items():
         opp = expand_schubert(schubert_class(space, v, "B-"), "B")
@@ -558,3 +563,21 @@ def test_conjectural_products_small_flag():
     assert products[(1, top)] == embed_classical(det_class(FL3, 1), 1)
     w = simple_reflection(3, 2)
     assert products[(2, w)].classical_part() == det_class(FL3, 2) * schubert_class(FL3, w, "B")
+
+
+@pytest.mark.parametrize("n, bound, digest", [
+    (3, 5, "8720a0f2e15ab00ce05df75f936c7c143d924a44ab6b33bcb70022b0669db87a"),
+    (4, 2, "a4e3fa0c79ff5160a4dee3591a3060e181c163e51e426edf5a4a73eab1795be4"),
+], ids=["fl3-qdeg5", "fl4-qdeg2"])
+def test_conjectural_product_tables_pinned(n, bound, digest):
+    # every entry of the complete-flag product tables, rendered line by line
+    # as the benchmark's fl3-products workload renders them
+    products, report = conjectural_product_fln(n, bound)
+    assert report["status"] == "CONDITIONAL-PASS"
+    reps = min_coset_reps(FlagSpace.full(n))
+    table = hashlib.sha256()
+    for i in range(1, n):
+        for w in reps:
+            for u in reps:
+                table.update(f"{i} {w} {u} {render_qseries(products[(i, w)].at(u))}\n".encode())
+    assert table.hexdigest() == digest
