@@ -10,7 +10,9 @@ classical sheaf Euler characteristics over curve neighborhoods:
 The vanishing branch is a theorem on incidence varieties and Grassmannians
 and a conjecture on complete flag varieties; a GWOracle records which of
 these licenses is being used, and every report produced from the
-conjectural mode is labeled CONDITIONAL.
+conjectural mode is labeled CONDITIONAL.  gw2 and gw3_divisor give one value
+by one euler_char call, for single queries and as the reference; tables over
+every u and d (product columns, Whitney checks) come from _pairing_vector.
 
 Products with a line bundle factor are defined through the quantum metric:
 L * sigma is the unique element whose pairings against the Schubert basis
@@ -71,7 +73,8 @@ def degree_box(k: int, bound: int) -> list[Degree]:
 
 
 def gw2(sigma: KClass, w: Perm, d: Degree) -> RationalFunction:
-    """Two-point invariant of sigma against the Schubert class of w."""
+    """Two-point invariant of sigma against the Schubert class of w, by one
+    euler_char call; _pairing_vector serves a whole table."""
     space = sigma.space
     g = curve_neighborhood_schubert(space, w, d)
     return euler_char(sigma * schubert_class(space, g, "B"))
@@ -131,9 +134,8 @@ def _vanishes(d: Degree, j: int, dropped: bool) -> bool:
     divisor axiom conjectured by Buch and Mihalcea, so there it is a
     conjecture and everything resting on it is reported as conditional.
     dropped suppresses the rule on step j, which only the mutated-oracle
-    negative controls do.
-    """
-    return d[j - 1] > 0 and not dropped
+    negative controls do.  det S_0 = O (j = 0) has no step to vanish on."""
+    return j > 0 and d[j - 1] > 0 and not dropped
 
 
 def _divisor_char(oracle: GWOracle, j: int, sigma: KClass, w: Perm,
@@ -207,6 +209,20 @@ def _neighborhoods(space: FlagSpace, bound: int) -> dict:
         if out[u][0][1] != u:
             raise RuntimeError(f"quantum metric solve failed: Gamma_0({u}) is not {u}")
     return out
+
+
+def _pairing_vector(space: FlagSpace, j: int, dropped: bool, sigma: KClass,
+                    bound: int) -> "QKElement":
+    """sum_d q^d <det S_j, sigma, O_u>_d at every basis label u, read off
+    one pairings expansion of det S_j * sigma at the labels Gamma_d(u) over
+    the degrees the vanishing rule allows.  j = 0 gives the two-point series,
+    since det S_0 = O."""
+    b = pairings(det_class(space, j) * sigma)
+    return QKElement(space, bound, {
+        u: QSeries(space.k, space.n, bound, {d: b[g] for d, g in labels
+                                             if not _vanishes(d, j, dropped)})
+        for u, labels in _neighborhoods(space, bound).items()
+    })
 
 
 @lru_cache(maxsize=None)
@@ -394,19 +410,16 @@ def _det_column(space: FlagSpace, j: int, dropped: bool, bound: int,
     b_g = chi(det S_j * O_w * O_g).  So y = Z s solves P y = P' b: row u of
     P has the entry q^d at column Gamma_d(u), so its labels with d != 0 are
     the solver's terms (the d = 0 label is the unit diagonal), and P' keeps
-    only the allowed degrees.  y_g is the classical pairing of the product
-    against O_g, and the dual classes D_g turn it into O_w coordinates,
-    summed into one coordinate dict.  dropped selects the mutated vanishing
-    rule on step j.
+    only the allowed degrees; P' b is the table _pairing_vector reads for
+    O_w.  y_g is the classical pairing of the product against O_g, and the
+    dual classes D_g turn it into O_w coordinates, summed into one
+    coordinate dict.  dropped selects the mutated vanishing rule on step j.
     """
-    k, n = space.k, space.n
-    one = RationalFunction.of(1, n)
-    b = pairings(det_class(space, j) * schubert_class(space, w, "B"))
-    rows, rhs = [], {}
-    for u, labels in _neighborhoods(space, bound).items():
-        rows.append((u, [(d, g, one) for d, g in labels if any(d)]))
-        rhs[u] = QSeries(k, n, bound, {d: b[g] for d, g in labels
-                                       if not _vanishes(d, j, dropped)})
+    one = RationalFunction.of(1, space.n)
+    column = _pairing_vector(space, j, dropped, schubert_class(space, w, "B"), bound)
+    rows = [(u, [(d, g, one) for d, g in labels if any(d)])
+            for u, labels in _neighborhoods(space, bound).items()]
+    rhs = {u: column.at(u) for u, _ in rows}
     dual = _dual_classes(space)
     coords: dict = {}
     for g, y in _triangular_solve(space, bound, rows, rhs).items():
@@ -522,42 +535,44 @@ def _report(check: str, space: FlagSpace, bound: int, status: str,
     }
 
 
-def _diff_witnesses(witnesses: list, relation: str, lhs: QKElement,
-                    rhs: QKElement, y_power: int):
-    diff = lhs - rhs
-    for w in min_coset_reps(diff.space):
-        qs = diff.coords.get(w)
-        if qs is None:
-            continue
-        for d in sorted(qs.coeffs, key=_grlex_key):
-            witnesses.append({
-                "relation": relation,
-                "w": list(w),
-                "d": list(d),
-                "y_power": y_power,
-            })
+def _diff_witnesses(witnesses: list, diffs: dict):
+    """A witness per nonzero coefficient of each difference lhs - rhs, keyed
+    by (relation, y_power): by basis label, then degree, then key."""
+    for w in min_coset_reps(next(iter(diffs.values())).space):
+        at_w = [(key, diff.coords[w].coeffs) for key, diff in diffs.items()
+                if w in diff.coords]
+        for d in sorted(set().union(*(c for _, c in at_w)), key=_grlex_key):
+            for (relation, y_power), coeffs in at_w:
+                if d in coeffs:
+                    witnesses.append({
+                        "relation": relation,
+                        "w": list(w),
+                        "d": list(d),
+                        "y_power": y_power,
+                    })
 
 
 def verify_qk_whitney(space: FlagSpace, bound: int,
                       negative_control: bool = False) -> dict:
     """Check the quantized Whitney relations on an incidence variety.
 
-    Invariant level: for every Schubert label and every degree in the box,
-    the splitting of the subbundle chain matches the three-point values,
-    including the degree-shifted correction terms.  Ring level: the
-    products of the determinant lines against the wedge classes, computed
-    through the metric, reproduce the corrected right-hand sides, and the
-    rank-two series identity follows mechanically from the same product
-    table.  With negative_control the oracle drops the vanishing rule on
-    the second step, which deletes the q_2 corrections and must be caught.
+    The two relation families, splitting S_2 through the rank-one subbundle
+    and det S_2 times the wedges of S_2, are stated once, over two
+    operations: lift a class, and multiply it by det S_j.  Invariant level:
+    the two- and three-point series, read off one pairing table per class
+    (_pairing_vector; no euler_char call), match for every Schubert label
+    and degree, degree-shifted corrections included.  Ring level: embedded
+    classes and products through the metric reproduce the corrected
+    right-hand sides, and the rank-two series identity follows mechanically
+    from the same product table.  With negative_control the oracle drops the
+    vanishing rule on the second step, which deletes the q_2 corrections and
+    must be caught.
     """
     if not space.is_incidence:
         raise ValueError("this check runs on incidence varieties")
     n = space.n
     oracle = GWOracle("incidence-proven", space,
                       drop_vanishing=(2,) if negative_control else ())
-    reps = min_coset_reps(space)
-    degrees = degree_box(2, bound)
     witnesses: list = []
 
     sub2 = [bundle_class(space, 2, m) for m in range(n + 1)]
@@ -569,51 +584,38 @@ def verify_qk_whitney(space: FlagSpace, bound: int,
     def embed(cls):
         return embed_classical(cls, bound)
 
-    for w in reps:
-        for d in degrees:
-            for m in range(n):
-                lhs = gw2(quot[m], w, d)
-                if m >= 1:
-                    lhs = lhs + gw3_divisor(oracle, ("sub1",), quot[m - 1], w, d)
-                rhs = gw2(sub2[m], w, d)
-                if m == n - 1 and d[0] > 0:
-                    rhs = rhs - gw2(det2, w, (d[0] - 1, d[1]))
-                if lhs != rhs:
-                    witnesses.append({
-                        "relation": "sub-line-invariants",
-                        "w": list(w), "d": list(d), "y_power": m,
-                    })
-            for ell in range(1, n + 1):
-                mid = scalar_class(space, t_elem(n, ell)) - sub2[ell]
-                lhs = gw3_divisor(oracle, ("det", 2), mid, w, d)
-                inner = gw2(sub2[ell - 1], w, d)
-                if d[1] > 0:
-                    inner = inner - gw2(sub1[ell - 1], w, (d[0], d[1] - 1))
-                rhs = e_top * inner
-                if lhs != rhs:
-                    witnesses.append({
-                        "relation": "det-wedge-invariants",
-                        "w": list(w), "d": list(d), "y_power": ell,
-                    })
-
     q1 = QSeries.q(2, n, bound, 1)
     q2 = QSeries.q(2, n, bound, 2)
     one_q = QSeries.one(2, n, bound)
 
-    for m in range(n):
-        lhs = embed(quot[m])
-        if m >= 1:
-            lhs = lhs + line_bundle_product(oracle, ("sub1",), embed(quot[m - 1]), bound)
-        rhs = embed(sub2[m])
-        if m == n - 1:
-            rhs = rhs - embed(det2) * q1
-        _diff_witnesses(witnesses, "sub-line-products", lhs, rhs, m)
+    def relations(level, lift, times_det):
+        # lhs - rhs of each relation, keyed by (relation, y_power)
+        out = {}
+        for m in range(n):
+            lhs = lift(quot[m])
+            if m >= 1:
+                lhs = lhs + times_det(1, quot[m - 1])
+            rhs = lift(sub2[m])
+            if m == n - 1:
+                rhs = rhs - lift(det2) * q1
+            out[f"sub-line-{level}", m] = lhs - rhs
+        for ell in range(1, n + 1):
+            lhs = times_det(2, scalar_class(space, t_elem(n, ell)) - sub2[ell])
+            rhs = (lift(sub2[ell - 1]) - lift(sub1[ell - 1]) * q2) * e_top
+            out[f"det-wedge-{level}", ell] = lhs - rhs
+        return out
 
-    for ell in range(1, n + 1):
-        mid = embed(scalar_class(space, t_elem(n, ell)) - sub2[ell])
-        lhs = line_bundle_product(oracle, ("det", 2), mid, bound)
-        rhs = (embed(sub2[ell - 1]) - embed(sub1[ell - 1]) * q2) * e_top
-        _diff_witnesses(witnesses, "det-wedge-products", lhs, rhs, ell)
+    # invariant level: witnesses by label, then degree, then relation
+    _diff_witnesses(witnesses, relations(
+        "invariants",
+        lambda cls: _pairing_vector(space, 0, False, cls, bound),
+        lambda j, cls: _pairing_vector(space, j, j in oracle.drop_vanishing, cls, bound)))
+    # ring level: witnesses by relation, then label and degree
+    products = relations(
+        "products", embed,
+        lambda j, cls: line_bundle_product(oracle, ("det", j), embed(cls), bound))
+    for key, diff in products.items():
+        _diff_witnesses(witnesses, {key: diff})
 
     # The rank-two series relation is recovered from the wedge products.
     # Each y-coefficient of the unknown product of wedge(S_2) with the
@@ -621,26 +623,18 @@ def verify_qk_whitney(space: FlagSpace, bound: int,
     # multiplying the candidate by det S_2 must reproduce the product the
     # table gives directly, and the candidates then assemble into the
     # corrected series identity.
-    quotline = scalar_class(space, t_elem(n, 1)) - sub2[1]
-    cross = line_bundle_product(oracle, ("sub1",), embed(quotline), bound)
+    quotline = embed(scalar_class(space, t_elem(n, 1)) - sub2[1])
+    extras = {1: quotline, 2: line_bundle_product(oracle, ("sub1",), quotline, bound)}
     for ell in range(1, n + 1):
-        cand = embed(scalar_class(space, t_elem(n, ell)) - sub2[ell]) * (one_q - q2)
-        if ell == 1:
-            cand = cand + embed(quotline) * q2
-        elif ell == 2:
-            cand = cand + cross * q2
+        target = embed(scalar_class(space, t_elem(n, ell)))
+        mid = target - embed(sub2[ell])
+        extra = extras.get(ell, QKElement(space, bound, {}))
+        cand = mid * (one_q - q2) + extra * q2
         lhs = line_bundle_product(oracle, ("det", 2), cand, bound)
         rhs = embed(sub2[ell - 1]) * ((one_q - q2) * e_top)
-        _diff_witnesses(witnesses, "quotient-series-rearrangement", lhs, rhs, ell)
-        assembled = embed(sub2[ell]) + cand
-        target = embed(scalar_class(space, t_elem(n, ell)))
-        corr = target - embed(sub2[ell])
-        if ell == 1:
-            corr = corr - embed(quotline)
-        elif ell == 2:
-            corr = corr - cross
-        _diff_witnesses(witnesses, "quotient-series-assembly", assembled,
-                        target - corr * q2, ell)
+        _diff_witnesses(witnesses, {("quotient-series-rearrangement", ell): lhs - rhs})
+        _diff_witnesses(witnesses, {("quotient-series-assembly", ell):
+                                    embed(sub2[ell]) + cand - (target - (mid - extra) * q2)})
 
     status = "FAIL" if witnesses else "PASS"
     return _report("incidence-whitney", space, bound, status, witnesses)
@@ -752,17 +746,17 @@ def conjectural_product_fln(n: int, bound: int):
                 rhs = inner * RationalFunction.of(t_elem(n, n), n)
             else:
                 rhs = line_bundle_product(oracle, ("det", i + 1), inner, bound)
-            _diff_witnesses(witnesses, "det-wedge-products", lhs, rhs, ell)
+            _diff_witnesses(witnesses, {("det-wedge-products", ell): lhs - rhs})
 
     for i in range(1, n):
         for j in range(i + 1, n):
             lhs = line_bundle_product(oracle, ("det", i), embed(det_class(space, j)), bound)
             rhs = line_bundle_product(oracle, ("det", j), embed(det_class(space, i)), bound)
-            _diff_witnesses(witnesses, "product-symmetry", lhs, rhs, 0)
+            _diff_witnesses(witnesses, {("product-symmetry", 0): lhs - rhs})
             for w in reps:
                 left = line_bundle_product(oracle, ("det", i), products[(j, w)], bound)
                 right = line_bundle_product(oracle, ("det", j), products[(i, w)], bound)
-                _diff_witnesses(witnesses, "product-associativity", left, right, 0)
+                _diff_witnesses(witnesses, {("product-associativity", 0): left - right})
 
     if n == 3:
         proven = GWOracle("incidence-proven", space)
@@ -770,8 +764,8 @@ def conjectural_product_fln(n: int, bound: int):
             for w in reps:
                 other = line_bundle_product(
                     proven, ("det", i), basis_element(space, w, bound), bound)
-                _diff_witnesses(witnesses, "incidence-agreement",
-                                products[(i, w)], other, 0)
+                _diff_witnesses(witnesses, {("incidence-agreement", 0):
+                                            products[(i, w)] - other})
 
     status = "FAIL" if witnesses else "CONDITIONAL-PASS"
     report = _report("conditional-flag-products", space, bound, status, witnesses)

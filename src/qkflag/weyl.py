@@ -366,14 +366,18 @@ def z_d_peels(space: FlagSpace, d: Degree) -> tuple[Root, ...]:
 
 @lru_cache(maxsize=None)
 def _z_d_choices(space: FlagSpace, d: Degree) -> frozenset[Perm]:
-    comps = _active_components(space, d)
-    if not comps:
-        return frozenset({identity(space.n)})
-    results = set()
-    for comp in comps:
-        beta, lowered = _peel(space, d, comp)
-        for z in _z_d_choices(space, lowered):
-            results.add(demazure_product(z, beta.to_perm(space.n)))
+    # one pass per peel level over (degree, Hecke product of the peels so far)
+    results, pending = set(), {(d, identity(space.n))}
+    while pending:
+        peeled = set()
+        for deg, suffix in pending:
+            comps = _active_components(space, deg)
+            if not comps:
+                results.add(suffix)
+            for comp in comps:
+                beta, lowered = _peel(space, deg, comp)
+                peeled.add((lowered, demazure_product(beta.to_perm(space.n), suffix)))
+        pending = peeled
     return frozenset(results)
 
 

@@ -7,7 +7,9 @@ degree-zero sector is classical and that pairings against a determinant
 line vanish in positive degree along its own step.
 """
 
+import functools
 import hashlib
+import json
 
 import pytest
 from hypothesis import given, settings
@@ -175,6 +177,25 @@ def test_invariant_values_are_laurent():
         for d in degree_box(2, 1):
             assert gw2(sigma, w, d).is_laurent()
             assert gw3_divisor(oracle, ("det", 2), sigma, w, d).is_laurent()
+
+
+def test_pairing_vectors_match_single_invariants():
+    # a table read off one expansion per class must agree with the
+    # single-value route, one euler_char per (u, d)
+    for space, bound in [(FL3, 2), (FL134, 1)]:
+        sigma = bundle_class(space, 2, 1)
+        for j in (0, 1, 2):
+            for dropped in (False, True):
+                vec = qk._pairing_vector(space, j, dropped, sigma, bound)
+                oracle = GWOracle("incidence-proven", space,
+                                  drop_vanishing=(j,) if dropped else ())
+                for u in min_coset_reps(space):
+                    for d in degree_box(2, bound):
+                        if j == 0:
+                            expected = gw2(sigma, u, d)
+                        else:
+                            expected = gw3_divisor(oracle, ("det", j), sigma, u, d)
+                        assert vec.at(u).coeffs.get(d, rf(0, space.n)) == expected
 
 
 def test_quantum_gram_constant_term_is_bruhat_indicator():
@@ -483,7 +504,12 @@ def test_embedding_of_basis_class_is_delta():
         assert sigma == basis_element(FL3, w, 1)
 
 
-def test_whitney_verification_passes():
+def test_whitney_verification_passes(monkeypatch):
+    # every invariant is read off a pairing table, never one euler_char each
+    def refuse(sigma):
+        raise AssertionError("euler_char called")
+
+    monkeypatch.setattr(qk, "euler_char", refuse)
     report = verify_qk_whitney(FL3, 2)
     assert report["status"] == "PASS"
     assert report["witnesses"] == []
@@ -492,8 +518,13 @@ def test_whitney_verification_passes():
     assert report["truncation"] == 2
 
 
-def test_whitney_verification_catches_mutated_oracle():
-    report = verify_qk_whitney(FL3, 2, negative_control=True)
+@pytest.mark.parametrize("space, bound, digest", [
+    (FL3, 2, "81f3c401417be78afb9b1185f897aae27d4e4f167bd4c2d474d540beb140ec50"),
+    (FL134, 1, "f1887c3e39516f8edd776437b755a2d747a20eb8d20cafbc017ddda71ab1c395"),
+    (FL134, 2, "338539ffbe16ec5738f33dace5f391e1ee2cc92406b372e4f070aa69a9d33a50"),
+], ids=["fl123-qdeg2", "fl134-qdeg1", "fl134-qdeg2"])
+def test_whitney_verification_catches_mutated_oracle(space, bound, digest):
+    report = verify_qk_whitney(space, bound, negative_control=True)
     assert report["status"] == "FAIL"
     assert len(report["witnesses"]) >= 1
     for wit in report["witnesses"]:
@@ -501,6 +532,9 @@ def test_whitney_verification_catches_mutated_oracle():
         # dropping the vanishing rule on step 2 only disturbs terms that
         # carry a positive power of q_2
         assert wit["d"][1] > 0
+    # the witnesses, their order and the report shape are pinned
+    pinned = hashlib.sha256(json.dumps(report, sort_keys=True).encode()).hexdigest()
+    assert pinned == digest
 
 
 def test_flag_reduction_passes():
@@ -522,14 +556,24 @@ def _relations(report):
 
 
 def test_whitney_catches_mutated_sub_line_invariant(monkeypatch):
-    # a three-point value through the rank-one subbundle that is off by one
+    # three-point values through the rank-one subbundle that are off by one
     # must break the invariant-level splitting of S_2
-    real = qk.gw3_divisor
+    real = qk._pairing_vector
 
-    def shifted(oracle, L, sigma, w, d):
-        return real(oracle, L, sigma, w, d) + (1 if L == ("sub1",) else 0)
+    def shifted(space, j, dropped, sigma, bound):
+        out = real(space, j, dropped, sigma, bound)
+        if j != 1:
+            return out
+        ones = QSeries(space.k, space.n, bound,
+                       {d: rf(1, space.n) for d in degree_box(space.k, bound)})
+        return out + QKElement(space, bound, {u: ones for u in min_coset_reps(space)})
 
-    monkeypatch.setattr(qk, "gw3_divisor", shifted)
+    monkeypatch.setattr(qk, "_pairing_vector", shifted)
+    # solved columns read the same tables and are cached; start from empty
+    # caches so that no corrupted column outlives this test
+    for name in ("_neighborhoods", "_det_column"):
+        monkeypatch.setattr(qk, name, functools.lru_cache(
+            maxsize=None)(getattr(qk, name).__wrapped__))
     report = verify_qk_whitney(FL3, 1)
     assert report["status"] == "FAIL"
     assert "sub-line-invariants" in _relations(report)

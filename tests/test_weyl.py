@@ -362,6 +362,9 @@ def test_z_d_choice_independent():
         space = FlagSpace(n, ranks)
         for d in degree_grid(len(ranks), 2):
             assert z_d_choices(space, d) == frozenset({z_d(space, d)})
+    # one peel level per unit of degree, far past the recursion limit
+    space = FlagSpace(3, (1, 2))
+    assert z_d_choices(space, (600, 0)) == frozenset({z_d(space, (600, 0))})
 
 
 def test_z_d_peels_multiply_back():
