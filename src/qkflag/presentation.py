@@ -27,8 +27,9 @@ the quantum parameters q1..qk, in that order.
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache, partial
-from itertools import product as iproduct
+from itertools import count, product as iproduct
 from math import prod
+import heapq
 import random
 
 from .algebra import (
@@ -469,6 +470,15 @@ def _coulomb_generators(space: FlagSpace) -> list:
 # divides by a leading coefficient, so reduction and S-polynomials only
 # multiply and subtract.  Laurent division must be exact, which keeps every
 # value equal to its fraction-field counterpart; otherwise RuntimeError.
+#
+# Buchberger's algorithm runs in the Gebauer-Moeller installation of his
+# criteria (Gebauer and Moeller 1988, as in Becker and Weispfenning's UPDATE):
+# each new element drops its pairs whose lcm another new pair's lcm divides
+# (chain criterion) or whose leading terms are coprime (product criterion),
+# and the pending pairs it makes redundant.  Pairs wait in a heap keyed once
+# by their lcm, smallest first (the normal strategy).  S-polynomials reduce
+# against the current set, the elements whose leading term no later element
+# divides, and the result is a minimal basis: no leading term divides another.
 
 def _grevlex_key(e: tuple) -> tuple:
     return (sum(e), tuple(-x for x in reversed(e)))
@@ -519,9 +529,13 @@ def _reduce_full(p: dict, basis: list) -> dict:
     return out
 
 
+def _lcm(a: tuple, b: tuple) -> tuple:
+    return tuple(max(x, y) for x, y in zip(a, b))
+
+
 def _spoly(a: tuple, b: tuple) -> dict:
     (alt, aterms), (blt, bterms) = a, b
-    lcm = tuple(max(x, y) for x, y in zip(alt, blt))
+    lcm = _lcm(alt, blt)
     fa = tuple(x - y for x, y in zip(lcm, alt))
     fb = tuple(x - y for x, y in zip(lcm, blt))
     out = {tuple(x + y for x, y in zip(e, fa)): c for e, c in aterms.items()}
@@ -537,22 +551,53 @@ def _spoly(a: tuple, b: tuple) -> dict:
 
 
 def _buchberger(gens: list) -> list:
-    """Monic Groebner basis of the ideal the given polynomials generate."""
-    basis = [_monic(g) for g in gens if g]
-    pairs = [(i, j) for j in range(len(basis)) for i in range(j)]
-    while pairs:
-        best = min(pairs, key=lambda ij: _grevlex_key(
-            tuple(max(x, y) for x, y in zip(basis[ij[0]][0], basis[ij[1]][0]))))
-        pairs.remove(best)
-        i, j = best
-        alt, blt = basis[i][0], basis[j][0]
-        if all(x == 0 or y == 0 for x, y in zip(alt, blt)):
-            continue
-        r = _reduce_full(_spoly(basis[i], basis[j]), basis)
-        if r:
-            basis.append(_monic(r))
-            pairs.extend((t, len(basis) - 1) for t in range(len(basis) - 1))
-    return basis
+    """Minimal monic Groebner basis of the ideal the given polynomials generate."""
+    basis = []      # every element ever added
+    current = []    # indices of the elements no later leading term divides
+    pending = {}    # pair number -> (i, j, lcm of their leading terms)
+    heap = []       # (grevlex key of the lcm, pair number)
+    numbers = count()
+
+    def update(h):
+        hlt = h[0]
+        new = []
+        for g in current:
+            glt = basis[g][0]
+            lcm = _lcm(hlt, glt)
+            new.append((g, lcm, lcm == tuple(x + y for x, y in zip(hlt, glt))))
+        # chain criterion among the new pairs; coprime pairs still eliminate
+        # others before the product criterion drops them
+        kept = []
+        for pos, (g, lcm, coprime) in enumerate(new):
+            if coprime or not any(_divides(other[1], lcm)
+                                  for other in new[pos + 1:] + kept):
+                kept.append((g, lcm, coprime))
+        # chain criterion on the pending pairs, through h
+        for number, (i, j, lcm) in list(pending.items()):
+            if (_divides(hlt, lcm) and _lcm(basis[i][0], hlt) != lcm
+                    and _lcm(basis[j][0], hlt) != lcm):
+                del pending[number]
+        k = len(basis)
+        basis.append(h)
+        for g, lcm, coprime in kept:
+            if not coprime:
+                number = next(numbers)
+                pending[number] = (g, k, lcm)
+                heapq.heappush(heap, (_grevlex_key(lcm), number))
+        current[:] = [g for g in current if not _divides(hlt, basis[g][0])] + [k]
+
+    for g in gens:
+        if g:
+            update(_monic(g))
+    while heap:
+        number = heapq.heappop(heap)[1]
+        if number in pending:
+            i, j, _ = pending.pop(number)
+            r = _reduce_full(_spoly(basis[i], basis[j]), [basis[g] for g in current])
+            if r:
+                update(_monic(r))
+    return [basis[g] for g in current
+            if not any(o != g and _divides(basis[o][0], basis[g][0]) for o in current)]
 
 
 def _quotient_dimension(basis: list, nv: int):
@@ -596,15 +641,13 @@ def groebner_dimension(spec: IdealSpec, seeds: tuple = (0, 1),
     (``ValueError`` otherwise).  The Groebner engine runs over ``Fraction``
     with the weights specialized to seeded distinct nonzero rationals, and
     the count of standard monomials must agree across seeds; with ``exact``
-    it runs over the Laurent polynomials, dividing exactly, which is
-    affordable for n <= 3.  Raises ``RuntimeError`` if the specialized
-    quotient fails to be zero-dimensional.
+    it runs once over the Laurent polynomials, dividing exactly.  Raises
+    ``RuntimeError`` if the specialized quotient fails to be
+    zero-dimensional.
     """
     if not spec.generators:
         raise ValueError("empty ideal")
     n, k = spec.space.n, spec.space.k
-    if exact and n > 3:
-        raise ValueError("exact coefficient mode is supported for n <= 3")
     q0 = (0,) * k
     gens0 = [{e: _split_q(c.as_laurent(), n, k)[q0] for e, c in pres_q0(g).terms.items()}
              for g in spec.generators]

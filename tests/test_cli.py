@@ -230,6 +230,20 @@ def test_fl134_verify_digests(capsys, command, digest):
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
+@pytest.mark.parametrize("command, digest", [
+    # membership by normal forms modulo the Whitney basis
+    ("verify coulomb --n 4",
+     "c516ec9c3faa2304aaff760a5a4d452e71b1dec8944970ad7dee1addc626e0b3"),
+    # standard monomials of the initial ideal
+    ("verify classical --n 5 --ranks 1,4",
+     "fdc54088da39fec951e1f450e134d04e2f316a0087d3f52793fe9208ba3bf552"),
+], ids=["coulomb-n4", "classical-n5"])
+def test_groebner_verify_digests(capsys, command, digest):
+    code, out, _ = run(capsys, *command.split())
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
 def test_gw_det_of_zero_bundle_is_one(capsys):
     # det S_0 = O, so its two-point invariant at degree 0 is chi(O_w) = 1
     argv = ["gw", "--n", "3", "--ranks", "1,2", "--type", "2pt",
@@ -404,11 +418,13 @@ def test_help_exits_zero(capsys):
     assert code == 0
 
 
-def test_exact_mode_guard_is_reported(capsys):
-    code, out, err = run(capsys, "verify", "classical", "--n", "4",
-                         "--ranks", "1,3", "--coeffs", "exact")
-    assert code == 2
-    assert "n <= 3" in err
+def test_exact_mode_runs_beyond_n3(capsys):
+    code, doc, _ = run_json(capsys, "verify", "classical", "--n", "4",
+                            "--ranks", "1,3", "--coeffs", "exact")
+    assert code == 0
+    assert doc["config"]["coeff_mode"] == "exact"
+    assert doc["status"] == "PASS"
+    assert doc["dimension"] == doc["expected"] == 12
 
 
 # -- determinism -------------------------------------------------------------

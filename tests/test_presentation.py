@@ -194,8 +194,8 @@ def test_quantum_dimension_at_q0_matches_classical():
 def test_exact_dimension_mode():
     assert groebner_dimension(ideal_generators(INC3, "classical"),
                               exact=True) == 6
-    with pytest.raises(ValueError, match="n <= 3"):
-        groebner_dimension(ideal_generators(INC4, "classical"), exact=True)
+    assert groebner_dimension(ideal_generators(INC4, "classical"),
+                              exact=True) == 12
     # the engine runs over Laurent coefficients, so a q = 0 coefficient that
     # is a genuine fraction is refused in either mode
     gens = ideal_generators(INC3, "classical").generators
@@ -206,6 +206,56 @@ def test_exact_dimension_mode():
     for exact in (False, True):
         with pytest.raises(ValueError, match="denominator"):
             groebner_dimension(spec, exact=exact)
+
+
+@pytest.mark.parametrize("space, flavor, dim", [
+    (INC4, "classical", 12),
+    (INC4, "quantum-polynomial", 12),
+    (FlagSpace(4, (1, 2)), "classical", 12),
+    (GR24, "classical", 6),
+    (FULL4, "classical", 24),
+    (FlagSpace(5, (1, 4)), "classical", 20),
+    (FlagSpace(5, (1, 4)), "quantum-polynomial", 20),
+    (FlagSpace(5, (1, 2, 3, 4)), "classical", 120),
+], ids=["Fl(1,3;4)-classical", "Fl(1,3;4)-quantum", "Fl(1,2;4)", "Gr(2,4)",
+        "Fl(4)", "Fl(1,4;5)-classical", "Fl(1,4;5)-quantum", "Fl(5)"])
+def test_exact_dimension_matches_seeded(space, flavor, dim):
+    # the seeded runs carry Fraction coefficients at random weights, the exact
+    # run Laurent ones, so agreement checks the Laurent arithmetic
+    spec = ideal_generators(space, flavor)
+    assert groebner_dimension(spec, exact=True) == groebner_dimension(spec) == dim
+
+
+def _seeded_classical(space):
+    tvals = presentation._seed_values(0, space.n)
+    return [{e: v for e, c in g.terms.items()
+             if (v := presentation._eval_laurent(c.as_laurent(), tvals)) != 0}
+            for g in ideal_generators(space, "classical").generators]
+
+
+@pytest.mark.parametrize("make_gens", [
+    lambda: [presentation._gb_from_pres(g) for g in
+             ideal_generators(INC3, "quantum-polynomial").generators],
+    lambda: _seeded_classical(INC4),
+    lambda: _seeded_classical(FlagSpace(5, (1, 4))),
+], ids=["laurent-Fl(1,2;3)-quantum", "seeded-Fl(1,3;4)", "seeded-Fl(1,4;5)"])
+def test_groebner_basis_invariants(make_gens):
+    gens = make_gens()
+    basis = presentation._buchberger(gens)
+    reduce = presentation._reduce_full
+    # Buchberger's criterion over every pair, whatever the engine pruned
+    for i, a in enumerate(basis):
+        for b in basis[i + 1:]:
+            assert reduce(presentation._spoly(a, b), basis) == {}
+    for g in gens:
+        assert reduce(g, basis) == {}
+    for lead, terms in basis:
+        assert presentation._lt(terms) == lead and terms[lead] == 1
+    # minimal: no leading term divides another
+    leads = [lead for lead, _ in basis]
+    for i, a in enumerate(leads):
+        assert not any(presentation._divides(a, b)
+                       for j, b in enumerate(leads) if j != i)
 
 
 def test_inexact_leading_coefficient_is_an_internal_error(capsys, monkeypatch):
