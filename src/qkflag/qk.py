@@ -24,14 +24,15 @@ Gamma_d(u) and Z[g][v] = [v <= g] is the Bruhat indicator.  The
 three-point column factors through the same P_d, so products solve the
 factored system P y = P' b, where y holds the classical pairings of the
 product against the O_g.  P is the identity at q = 0, so the truncated
-system solves by substitution with no division.  General products of two
-non-line-bundle classes are out of scope.
+system solves by substitution with no division, and Z is inverted by the
+Moebius function of Bruhat order, with additions only.  General products of
+two non-line-bundle classes are out of scope.
 """
 
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import product as iter_product
-from operator import sub
+from operator import le, sub
 
 from .algebra import LaurentPolynomial, QSeries, RationalFunction, _grlex_key, t_elem
 from .curves import curve_neighborhood_schubert
@@ -236,7 +237,8 @@ def quantum_gram(space: FlagSpace, bound: int):
     every coefficient is the 0/1 Bruhat indicator.  The constant term is
     the indicator of v <= u, which makes the matrix invertible within the
     truncation.  This is the dense form of the metric; products solve the
-    factored form P * Z instead (see _det_column).
+    factored form P * Z instead and invert Z by Moebius inversion over
+    Bruhat order (see _det_column).
     """
     reps = min_coset_reps(space)
     k, n = space.k, space.n
@@ -249,20 +251,17 @@ def quantum_gram(space: FlagSpace, bound: int):
 
 
 @lru_cache(maxsize=None)
-def _dual_classes(space: FlagSpace) -> dict:
-    """O_w coordinates of the classes D_g with chi(D_g * O_h) = [g = h].
+def _bruhat_below(space: FlagSpace) -> dict:
+    """The labels v < h in Bruhat order, for each basis label h."""
+    reps = min_coset_reps(space)
+    return {h: [v for v in reps if v != h and bruhat_leq(v, h)] for h in reps}
 
-    chi(O^g * O_h) = [g <= h] gives O^g = sum_{h >= g} D_h, so the D_g are
-    computed from the top down as D_g = O^g - sum_{h > g} D_h.
-    """
-    dual: dict = {}
-    for g in reversed(min_coset_reps(space)):
-        coords = expand_schubert(schubert_class(space, g, "B-"), "B")
-        for h, dh in dual.items():
-            if bruhat_leq(g, h):
-                coords = {u: c - dh[u] for u, c in coords.items()}
-        dual[g] = coords
-    return dual
+
+@lru_cache(maxsize=None)
+def _opposite_expansion(space: FlagSpace, h: Perm) -> dict:
+    """The nonzero O_w coordinates of the opposite Schubert class O^h."""
+    return {u: c for u, c in expand_schubert(schubert_class(space, h, "B-"), "B").items()
+            if not c.is_zero()}
 
 
 # -- quantum K elements -----------------------------------------------------
@@ -370,6 +369,16 @@ def basis_element(space: FlagSpace, w: Perm, bound: int) -> QKElement:
 # -- line bundle products ---------------------------------------------------
 
 
+@lru_cache(maxsize=None)
+def _offsets(k: int, bound: int) -> tuple:
+    """Each degree d of degree_box(k, bound), in order, with the pairs
+    (t, d - t) over the degrees t <= d componentwise, t in degree_box
+    order: the only shifts of d whose source degree is effective."""
+    box = degree_box(k, bound)
+    return tuple((d, tuple((t, tuple(map(sub, d, t))) for t in box if all(map(le, t, d))))
+                 for d in box)
+
+
 def _triangular_solve(space: FlagSpace, bound: int, rows: list, rhs: dict,
                       diag: dict | None = None) -> dict:
     """Solve diag[r] x_r + sum_(t, c, a) a q^t x_c = rhs_r for truncated
@@ -380,23 +389,32 @@ def _triangular_solve(space: FlagSpace, bound: int, rows: list, rhs: dict,
     The q = 0 part must be triangular for that order: a term with t = 0
     involves only unknowns of earlier rows.  The diagonal constant is diag[r],
     or 1 when diag is None.  Callers check this.  Every degree is then solved
-    in order of total degree by exact substitution, dividing only by diag; a
-    shift beyond the current degree finds no solved entry.
+    in order of total degree by exact substitution, dividing only by diag.
+    Each row's terms are indexed by their shift t once, so a degree d walks
+    only the shifts t <= d (_offsets), and a unit coefficient is subtracted
+    without a multiply.
     """
     k, n = space.k, space.n
     zero = RationalFunction.of(0, n)
     sol: dict = {r: {} for r, _ in rows}
-    for dcur in degree_box(k, bound):
-        for r, terms in rows:
-            acc = rhs[r].coeffs.get(dcur, zero)
-            for t, c, a in terms:
-                sv = sol[c].get(tuple(map(sub, dcur, t)))
-                if sv is not None:
-                    acc = acc - a * sv
+    indexed = []
+    for r, terms in rows:
+        by_shift: dict = {}
+        for t, c, a in terms:
+            by_shift.setdefault(t, []).append((sol[c], None if a.is_one() else a))
+        indexed.append((r, sol[r], rhs[r].coeffs, by_shift))
+    for dcur, shifts in _offsets(k, bound):
+        for r, out, b, by_shift in indexed:
+            acc = b.get(dcur, zero)
+            for t, src in shifts:
+                for x, a in by_shift.get(t, ()):
+                    sv = x.get(src)
+                    if sv is not None:
+                        acc = acc - (sv if a is None else a * sv)
             if diag is not None:
                 acc = acc / diag[r]
             if not acc.is_zero():
-                sol[r][dcur] = acc
+                out[dcur] = acc
     return {r: QSeries(k, n, bound, sol[r]) for r in sol}
 
 
@@ -411,20 +429,31 @@ def _det_column(space: FlagSpace, j: int, dropped: bool, bound: int,
     P has the entry q^d at column Gamma_d(u), so its labels with d != 0 are
     the solver's terms (the d = 0 label is the unit diagonal), and P' keeps
     only the allowed degrees; P' b is the table _pairing_vector reads for
-    O_w.  y_g is the classical pairing of the product against O_g, and the
-    dual classes D_g turn it into O_w coordinates, summed into one
-    coordinate dict.  dropped selects the mutated vanishing rule on step j.
+    O_w.  y_g is the classical pairing of the product against O_g, and s
+    holds its O^v coordinates: Z[g][v] = [v <= g], so Z's inverse is the
+    Moebius function of Bruhat order (Verma; Deodhar for parabolic
+    quotients) and s_h = y_h - sum_{v < h} s_v takes additions only, walking
+    the labels up in length.  The column is sum_h s_h * C_h over the sparse
+    O_w expansions C_h of O^h, read only where s_h != 0.  dropped selects
+    the mutated vanishing rule on step j.
     """
     one = RationalFunction.of(1, space.n)
     column = _pairing_vector(space, j, dropped, schubert_class(space, w, "B"), bound)
     rows = [(u, [(d, g, one) for d, g in labels if any(d)])
             for u, labels in _neighborhoods(space, bound).items()]
     rhs = {u: column.at(u) for u, _ in rows}
-    dual = _dual_classes(space)
+    y = _triangular_solve(space, bound, rows, rhs)
+    below = _bruhat_below(space)
+    zero = QSeries.zero(space.k, space.n, bound)
+    s: dict = {}
+    for h in min_coset_reps(space):
+        acc = y[h] - sum((s[v] for v in below[h] if v in s), zero)
+        if not acc.is_zero():
+            s[h] = acc
     coords: dict = {}
-    for g, y in _triangular_solve(space, bound, rows, rhs).items():
-        for u, c in dual[g].items():
-            coords[u] = coords[u] + y * c if u in coords else y * c
+    for h, sh in s.items():
+        for u, c in _opposite_expansion(space, h).items():
+            coords[u] = coords[u] + sh * c if u in coords else sh * c
     return QKElement(space, bound, coords)
 
 

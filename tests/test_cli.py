@@ -296,6 +296,16 @@ def test_full_flag_product_tagged_conditional(capsys):
     assert doc["conditional"] is True
 
 
+def test_fl5_conditional_product_digest(capsys):
+    # one product on Fl(5): 120 columns through the factored metric and the
+    # Bruhat Moebius inversion
+    code, out, _ = run(capsys, "product", "--n", "5", "--L", "detS4",
+                       "--sigma", "one", "--conditional", "--qdeg", "1")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == \
+        "3f33d735b0d13adfd73b16a778e568c3825fac998ea26e4325b58419744dcdfe"
+
+
 def test_no_oracle_space_rejected(capsys):
     code, out, err = run(capsys, "product", "--n", "5", "--ranks", "1,3",
                          "--L", "detS1", "--sigma", "one", "--conditional")

@@ -360,6 +360,37 @@ def test_det_columns_match_dense_reference():
                     embed_classical(classical, bound)
 
 
+def test_det_columns_match_dense_dual_recombination():
+    # the columns recombine the solved pairings y by Bruhat Moebius inversion
+    # over the sparse expansions of the O^h; the reference sums y_g * D_g over
+    # the dense dual classes, chi(D_g * O_h) = [g = h], built from the top
+    # down as D_g = O^g - sum_{h > g} D_h
+    space, bound = FlagSpace.full(4), 1
+    reps = min_coset_reps(space)
+    dual = {}
+    for g in reversed(reps):
+        coords = expand_schubert(schubert_class(space, g, "B-"), "B")
+        for h, dh in dual.items():
+            if bruhat_leq(g, h):
+                coords = {u: c - dh[u] for u, c in coords.items()}
+        dual[g] = coords
+    one = rf(1, space.n)
+    rows = [(u, [(d, g, one) for d, g in labels if any(d)])
+            for u, labels in qk._neighborhoods(space, bound).items()]
+    for j in GWOracle("full-flag-conjectural", space).divisor_steps():
+        for w in reps:
+            column = qk._pairing_vector(space, j, False,
+                                        schubert_class(space, w, "B"), bound)
+            y = qk._triangular_solve(space, bound, rows,
+                                     {u: column.at(u) for u, _ in rows})
+            coords = {u: QSeries.zero(space.k, space.n, bound) for u in reps}
+            for g, yg in y.items():
+                for u, c in dual[g].items():
+                    coords[u] = coords[u] + yg * c
+            assert qk._det_column(space, j, False, bound, w) == \
+                QKElement(space, bound, coords)
+
+
 @settings(max_examples=12, deadline=None)
 @given(a=st.integers(-3, 3), b=st.integers(-3, 3),
        iu=st.integers(0, 5), iv=st.integers(0, 5))
