@@ -53,6 +53,7 @@ from .weyl import (
     Degree,
     FlagSpace,
     Perm,
+    _bruhat_below,
     _check_effective,
     bruhat_leq,
     min_coset_reps,
@@ -248,13 +249,6 @@ def quantum_gram(space: FlagSpace, bound: int):
             for v in reps}
         for u, labels in _neighborhoods(space, bound).items()
     }
-
-
-@lru_cache(maxsize=None)
-def _bruhat_below(space: FlagSpace) -> dict:
-    """The labels v < h in Bruhat order, for each basis label h."""
-    reps = min_coset_reps(space)
-    return {h: [v for v in reps if v != h and bruhat_leq(v, h)] for h in reps}
 
 
 @lru_cache(maxsize=None)
@@ -684,6 +678,20 @@ def verify_flag_reduction(nmax: int, bound: int,
     if bound < 1:
         raise ValueError("nothing to check at this truncation")
     witnesses: list = []
+    images: dict = {}
+
+    def image(space, j, ell, word):
+        # demazure_word(word, wedge^ell S_j) one letter at a time; the words
+        # share many prefixes, so each prefix's image is kept for this call
+        m = len(word)
+        while m and (space, j, ell, word[:m]) not in images:
+            m -= 1
+        sigma = images[space, j, ell, word[:m]] if m else bundle_class(space, j, ell)
+        for m in range(m, len(word)):
+            sigma = demazure_word(word[m:m + 1], sigma)
+            images[space, j, ell, word[:m + 1]] = sigma
+        return sigma
+
     for n in range(3, nmax + 1):
         space = FlagSpace.full(n)
         k = n - 1
@@ -706,8 +714,8 @@ def verify_flag_reduction(nmax: int, bound: int,
                 word_full = reduced_word(zfull)
                 word_rep = reduced_word(zrep)
                 for ell in range(1, i + 1):
-                    lhs = demazure_word(word_full, bundle_class(space, i, ell))
-                    rhs = demazure_word(word_rep, bundle_class(space, i - 1, ell))
+                    lhs = image(space, i, ell, word_full)
+                    rhs = image(space, i - 1, ell, word_rep)
                     if lhs != rhs:
                         witnesses.append({
                             "relation": "degree-drop-neighborhoods",

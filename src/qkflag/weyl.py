@@ -286,6 +286,14 @@ def min_coset_reps(space: FlagSpace) -> list[Perm]:
     return list(_min_coset_reps(space))
 
 
+@lru_cache(maxsize=None)
+def _bruhat_below(space: FlagSpace) -> dict:
+    """The labels v < h in Bruhat order, for each basis label h, in basis
+    order."""
+    reps = _min_coset_reps(space)
+    return {h: [v for v in reps if v != h and bruhat_leq(v, h)] for h in reps}
+
+
 # ------------------------------------------------------------------------- z_d
 
 

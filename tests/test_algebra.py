@@ -10,6 +10,7 @@ from qkflag.algebra import (
     LaurentPolynomial,
     QSeries,
     RationalFunction,
+    _binomial_shape,
     divexact,
     elem_sym,
     parse_rational,
@@ -128,6 +129,32 @@ def test_divexact_rejects_nondivisible():
         a / LaurentPolynomial.zero(2)
     with pytest.raises(ZeroDivisionError):
         a / 0
+
+
+# Binomials c*(T^e1 - T^e2) with c = +-1 and an entry of e1 - e2 equal to
+# +-1 are divided synthetically; the last three divisors take the general loop.
+_BINOMIAL_DIVISORS = {
+    "T1-T2": (T(1, 3) - T(2, 3), True),
+    "T2-T1": (T(2, 3) - T(1, 3), True),
+    "monomial*(T1-T3)": (LaurentPolynomial.monomial(3, (-1, 2, 0), -1) * (T(1, 3) - T(3, 3)),
+                         True),
+    "T1*T2-T3": (T(1, 3) * T(2, 3) - T(3, 3), True),
+    "T1^2-T2^2": (T(1, 3) ** 2 - T(2, 3) ** 2, False),
+    "2*T1-2*T2": (T(1, 3) * 2 - T(2, 3) * 2, False),
+    "T1+T2": (T(1, 3) + T(2, 3), False),
+}
+
+
+@pytest.mark.parametrize("shape", list(_BINOMIAL_DIVISORS))
+@given(a=laurent_polys(nvars=3, max_terms=6))
+@settings(max_examples=40)
+def test_divexact_binomial_divisors(shape, a):
+    b, synthetic = _BINOMIAL_DIVISORS[shape]
+    assert (_binomial_shape(b) is not None) == synthetic
+    assert divexact(a * b, b) == a
+    with pytest.raises(ValueError):
+        divexact(a * b + T(1, 3), b)
+    assert divexact(LaurentPolynomial.zero(3), b).is_zero()
 
 
 @given(laurent_polys(max_terms=3, exp_range=2), laurent_polys(max_terms=3, exp_range=2),

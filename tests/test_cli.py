@@ -306,6 +306,16 @@ def test_fl5_conditional_product_digest(capsys):
         "3f33d735b0d13adfd73b16a778e568c3825fac998ea26e4325b58419744dcdfe"
 
 
+def test_fl145_incidence_digest(capsys):
+    # the Whitney check on Fl(1,4;5), which waits on the Fl(5) Schubert
+    # classes and so on the Demazure operators
+    code, out, _ = run(capsys, "verify", "incidence", "--n", "5", "--ranks", "1,4",
+                       "--qdeg", "1")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == \
+        "0893fb57b776a4aba10b2dfb1cbe74286505daf84bd92e4bfbe60571c55cc8be"
+
+
 def test_no_oracle_space_rejected(capsys):
     code, out, err = run(capsys, "product", "--n", "5", "--ranks", "1,3",
                          "--L", "detS1", "--sigma", "one", "--conditional")

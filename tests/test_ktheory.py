@@ -6,6 +6,7 @@ operators move Schubert classes along right multiplication, and the pairing
 chi(O_u . O^v) is the Bruhat incidence indicator.
 """
 
+import hashlib
 import random
 import warnings
 
@@ -15,6 +16,7 @@ from qkflag.algebra import (
     LaurentPolynomial,
     RationalFunction,
     elem_sym,
+    render_rational,
 )
 from qkflag.ktheory import (
     KClass,
@@ -201,6 +203,42 @@ def test_demazure_is_linear_over_constants():
         for i in (1, 2):
             combined = demazure_op(i, sigma * c + tau)
             assert combined == demazure_op(i, sigma) * c + demazure_op(i, tau)
+
+
+def test_demazure_laurent_path_matches_rational_formula():
+    # two Laurent restrictions take the shifted-numerator path; compare it
+    # with (T_b a - T_a b)/(T_b - T_a) in RationalFunction arithmetic, on
+    # random values (a genuine fraction for the gcd) and on random Laurent
+    # combinations of Schubert classes (the division is exact)
+    rng = random.Random(23)
+    for n, rounds in ((3, 12), (4, 4)):
+        space = FlagSpace.full(n)
+        reps = min_coset_reps(space)
+        for _ in range(rounds):
+            combo = zero_class(space)
+            for w in rng.sample(reps, 3):
+                combo = combo + schubert_class(space, w, "B") * random_laurent(rng, n)
+            for sigma in (random_class(rng, space), combo):
+                for i in range(1, n):
+                    image = demazure_op(i, sigma)
+                    for w in reps:
+                        a, b = sigma.at(w), sigma.at(right_mul(w, i))
+                        va, vb = rf(tvar(n, w[i - 1]), n), rf(tvar(n, w[i]), n)
+                        assert image.at(w) == (a * vb - b * va) / (vb - va)
+
+
+def test_fl4_schubert_classes_pinned():
+    # every restriction of every Fl(4) Schubert class in both variants
+    space = FlagSpace.full(4)
+    reps = min_coset_reps(space)
+    table = hashlib.sha256()
+    for variant in ("B", "B-"):
+        for w in reps:
+            cls = schubert_class(space, w, variant)
+            for v in reps:
+                table.update(f"{variant} {w} {v} {render_rational(cls.at(v))}\n".encode())
+    assert table.hexdigest() == \
+        "679b03c7c56343227fa787cced28b15a4a40afcf51b20e2f727c45fefeb091f7"
 
 
 def test_euler_char_schubert_classes_are_one():
