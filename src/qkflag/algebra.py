@@ -3,8 +3,10 @@
 Three layers, all over arbitrary-precision integers with no floating point:
 
 * :class:`LaurentPolynomial` -- sparse multivariate Laurent polynomials in
-  the torus characters ``T1..Tn``, stored as a map from integer exponent
-  vectors to nonzero coefficients.
+  the torus characters ``T1..Tn``, stored as a map from packed exponent
+  vectors (one integer each, a signed field in ``[-2^31, 2^31)`` per
+  variable) to nonzero coefficients; an exponent that would leave its field
+  raises ``OverflowError`` rather than alias two monomials.
 * :class:`RationalFunction` -- the fraction field, kept in a canonical form
   so structural equality is sound.
 * :class:`QSeries` -- power series in the quantum parameters ``q1..qk``
@@ -31,43 +33,106 @@ def _vec_sub(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(x - y for x, y in zip(a, b))
 
 
-class LaurentPolynomial:
-    """Sparse Laurent polynomial: map exponent vector -> nonzero int."""
+# -- packed exponent vectors -------------------------------------------------
+#
+# Entry i of a vector occupies bits 32*i .. 32*i + 31 of its key.  Adding the
+# bias sum 2^31 * 2^(32*i) moves every entry into [0, 2^32), so no entry
+# borrows from the next one and each reads off by shift and mask; XOR with
+# the same bias then leaves the entries' 32-bit two's complement, which one
+# struct call unpacks.  Keys are unique while every entry stays in its field;
+# the bounds the operations carry make sure of that.
 
-    __slots__ = ("nvars", "terms", "_hash")
+_HALF = 1 << 31          # entries lie in [-_HALF, _HALF)
+_MASK = (1 << 32) - 1
+
+
+def _pack(e: tuple[int, ...]) -> int:
+    key = 0
+    for x in reversed(e):
+        key = (key << 32) + x
+    return key
+
+
+@lru_cache(maxsize=None)
+def _layout(nvars: int):
+    """(bias, struct) that unpack keys of nvars entries."""
+    import struct
+
+    return _HALF * (((1 << (32 * nvars)) - 1) // _MASK), struct.Struct(f"<{nvars}i")
+
+
+def _unpack(key: int, nvars: int) -> tuple[int, ...]:
+    bias, fields = _layout(nvars)
+    return fields.unpack(((key + bias) ^ bias).to_bytes(fields.size, "little"))
+
+
+def _laurent(nvars: int, terms: dict[int, int], bound: int) -> "LaurentPolynomial":
+    """The polynomial with these packed terms (nonzero coefficients) and no
+    exponent larger than bound in absolute value."""
+    if bound >= _HALF:
+        raise OverflowError("a Laurent exponent leaves its 32-bit field")
+    r = object.__new__(LaurentPolynomial)
+    r.nvars = nvars
+    r.terms = terms
+    r._bound = bound
+    r._hash = None
+    return r
+
+
+class LaurentPolynomial:
+    """Sparse Laurent polynomial: map packed exponent vector -> nonzero int.
+
+    ``terms`` is keyed by ``sum e_i * 2^(32*i)`` over the 0-based entries of
+    each exponent vector, so a product of monomials adds keys; the
+    constructor takes a dict keyed by exponent tuples and packs it.
+    ``_bound`` is at least every ``|e_i|``: a sum takes the larger bound of
+    its operands, a product or shift the sum, and an exact quotient ``a / b``
+    the sum too (the Newton polytope of a is that of the quotient plus that
+    of b).  A bound of ``2^31`` or more raises ``OverflowError``, so every
+    key decodes to the vector that made it.  One number bounds all entries,
+    so it can overstate: ``T1^(2^30) * T2^(2^30)`` raises although neither
+    entry leaves its field.
+    """
+
+    __slots__ = ("nvars", "terms", "_bound", "_hash")
 
     def __init__(self, nvars: int, terms: dict[tuple[int, ...], int] | None = None):
-        self.nvars = nvars
-        clean: dict[tuple[int, ...], int] = {}
+        packed: dict[int, int] = {}
+        bound = 0
         if terms:
             for e, c in terms.items():
                 if c:
-                    clean[e] = c
-        self.terms = clean
+                    if len(e) != nvars:
+                        raise ValueError(f"exponent vector {e} does not have {nvars} entries")
+                    bound = max(bound, max(map(abs, e), default=0))
+                    packed[_pack(e)] = c
+        if bound >= _HALF:
+            raise OverflowError("a Laurent exponent leaves its 32-bit field")
+        self.nvars = nvars
+        self.terms = packed
+        self._bound = bound
         self._hash = None
 
     # -- constructors ------------------------------------------------------
 
     @staticmethod
     def zero(nvars: int) -> "LaurentPolynomial":
-        return LaurentPolynomial(nvars)
+        return _laurent(nvars, {}, 0)
 
     @staticmethod
     def constant(nvars: int, c: int) -> "LaurentPolynomial":
-        return LaurentPolynomial(nvars, {(0,) * nvars: c})
+        return _laurent(nvars, {0: c} if c else {}, 0)
 
     @staticmethod
     def one(nvars: int) -> "LaurentPolynomial":
-        return LaurentPolynomial.constant(nvars, 1)
+        return _laurent(nvars, {0: 1}, 0)
 
     @staticmethod
     def variable(nvars: int, i: int, power: int = 1) -> "LaurentPolynomial":
         """The monomial T_i^power with 1-based variable index i."""
         if not 1 <= i <= nvars:
             raise ValueError(f"variable index {i} out of range 1..{nvars}")
-        e = [0] * nvars
-        e[i - 1] = power
-        return LaurentPolynomial(nvars, {tuple(e): 1})
+        return _laurent(nvars, {power << (32 * (i - 1)): 1}, abs(power))
 
     @staticmethod
     def monomial(nvars: int, exp: tuple[int, ...], coeff: int = 1) -> "LaurentPolynomial":
@@ -79,7 +144,7 @@ class LaurentPolynomial:
         return not self.terms
 
     def is_one(self) -> bool:
-        return self.terms == {(0,) * self.nvars: 1}
+        return len(self.terms) == 1 and self.terms.get(0) == 1
 
     def is_monomial(self) -> bool:
         return len(self.terms) == 1
@@ -106,16 +171,12 @@ class LaurentPolynomial:
                 out[e] = s
             elif e in out:
                 del out[e]
-        r = LaurentPolynomial(self.nvars)
-        r.terms = out
-        return r
+        return _laurent(self.nvars, out, max(self._bound, other._bound))
 
     __radd__ = __add__
 
     def __neg__(self):
-        r = LaurentPolynomial(self.nvars)
-        r.terms = {e: -c for e, c in self.terms.items()}
-        return r
+        return _laurent(self.nvars, {e: -c for e, c in self.terms.items()}, self._bound)
 
     def __sub__(self, other):
         other = self._coerce(other)
@@ -133,18 +194,21 @@ class LaurentPolynomial:
         a, b = self.terms, other.terms
         if len(a) > len(b):
             a, b = b, a
-        out: dict[tuple[int, ...], int] = {}
-        for e1, c1 in a.items():
-            for e2, c2 in b.items():
-                e = tuple(x + y for x, y in zip(e1, e2))
-                s = out.get(e, 0) + c1 * c2
-                if s:
-                    out[e] = s
-                elif e in out:
-                    del out[e]
-        r = LaurentPolynomial(self.nvars)
-        r.terms = out
-        return r
+        if len(a) == 1:
+            # a monomial operand: the products are distinct, nothing cancels
+            (e1, c1), = a.items()
+            out = {e1 + e2: c1 * c2 for e2, c2 in b.items()}
+        else:
+            out = {}
+            for e1, c1 in a.items():
+                for e2, c2 in b.items():
+                    e = e1 + e2
+                    s = out.get(e, 0) + c1 * c2
+                    if s:
+                        out[e] = s
+                    elif e in out:
+                        del out[e]
+        return _laurent(self.nvars, out, self._bound + other._bound)
 
     __rmul__ = __mul__
 
@@ -160,7 +224,7 @@ class LaurentPolynomial:
         if self.is_monomial():
             (e, c), = self.terms.items()
             if c in (1, -1):
-                return LaurentPolynomial.monomial(self.nvars, tuple(-x for x in e), c)
+                return _laurent(self.nvars, {-e: c}, self._bound)
         raise ValueError("not a unit in the Laurent ring")
 
     def __pow__(self, k: int):
@@ -178,7 +242,7 @@ class LaurentPolynomial:
 
     def __eq__(self, other):
         if isinstance(other, int):
-            return self.terms == LaurentPolynomial.constant(self.nvars, other).terms
+            return self.terms == ({0: other} if other else {})
         if not isinstance(other, LaurentPolynomial):
             return NotImplemented
         return self.nvars == other.nvars and self.terms == other.terms
@@ -193,31 +257,31 @@ class LaurentPolynomial:
 
     # -- structure ---------------------------------------------------------
 
+    def _items(self) -> list[tuple[tuple[int, ...], int]]:
+        """The terms as (exponent tuple, coefficient) pairs."""
+        bias, fields = _layout(self.nvars)
+        unpack, size = fields.unpack, fields.size
+        return [(unpack(((e + bias) ^ bias).to_bytes(size, "little")), c)
+                for e, c in self.terms.items()]
+
     def leading(self) -> tuple[tuple[int, ...], int]:
         """Leading term under graded lex (total degree, then lex on exponents)."""
-        e = max(self.terms, key=_grlex_key)
-        return e, self.terms[e]
+        return max((sum(e), e, c) for e, c in self._items())[1:]
 
     def min_exponents(self) -> tuple[int, ...]:
         """Componentwise minimum exponent over all terms (zero poly -> zeros)."""
         if not self.terms:
             return (0,) * self.nvars
-        mins = [min(e[i] for e in self.terms) for i in range(self.nvars)]
-        return tuple(mins)
+        return tuple(map(min, zip(*(e for e, _ in self._items()))))
 
     def shift(self, delta: tuple[int, ...]) -> "LaurentPolynomial":
-        moved = [(p, x) for p, x in enumerate(delta) if x]
+        if len(delta) != self.nvars:
+            raise ValueError("shift vector length does not match the variables")
+        moved = _pack(delta)
         if not moved:
             return self
-        out = {}
-        for e, c in self.terms.items():
-            e = list(e)
-            for p, x in moved:
-                e[p] += x
-            out[tuple(e)] = c
-        r = LaurentPolynomial(self.nvars)
-        r.terms = out
-        return r
+        bound = self._bound + max(map(abs, delta))
+        return _laurent(self.nvars, {e + moved: c for e, c in self.terms.items()}, bound)
 
     def content(self) -> int:
         """Positive integer gcd of all coefficients (0 for the zero poly)."""
@@ -230,38 +294,40 @@ class LaurentPolynomial:
 
 
 def _binomial_shape(b: LaurentPolynomial):
-    """(c, e, d, i) with b = c * T^e * (T^d - 1), c = +-1 and d[i] = 1;
-    None for any other divisor."""
+    """(c, e, d, i) with b = c * T^e * (T^d - 1), c = +-1, d[i] = 1 and e, d
+    packed; None for any other divisor."""
     if len(b.terms) != 2:
         return None
     (e1, c1), (e2, c2) = b.terms.items()
     if c1 + c2 or c1 not in (1, -1):
         return None
-    d = _vec_sub(e1, e2)
+    d = _vec_sub(_unpack(e1, b.nvars), _unpack(e2, b.nvars))
     if 1 not in d:
         if -1 not in d:
             return None
-        e1, c1, d = e2, c2, tuple(-x for x in d)
-    return c1, _vec_sub(e1, d), d, d.index(1)
+        e1, c1, e2, d = e2, c2, e1, tuple(-x for x in d)
+    return c1, e2, e1 - e2, d.index(1)
 
 
-def _divide_binomial(a: LaurentPolynomial, c: int, e: tuple[int, ...],
-                     d: tuple[int, ...], i: int) -> LaurentPolynomial:
+def _divide_binomial(a: LaurentPolynomial, b_bound: int, c: int, e: int, d: int,
+                     i: int) -> LaurentPolynomial:
     # synthetic division by y - 1 with y = T^d, then by c * T^e: the
     # exponents of a fall into orbits e + e0 + k*d, keyed by e0 with entry i
     # equal to -e[i] (d[i] = 1, so k is the entry i), and on each orbit the
     # quotient's coefficient at T^(e0 + k*d) is minus c times the running sum
     # of a's coefficients up to y^k, which ends at zero exactly when y - 1
-    # divides; the gaps where that sum is 0 are skipped
-    moved = [(p, y, z) for p, (y, z) in enumerate(zip(d, e)) if y or z]
-    orbits: dict[tuple[int, ...], list] = {}
+    # divides; the gaps where that sum is 0 are skipped.  |k| <= |a|, |d| <=
+    # 2|b| and |e| <= |b| bound the orbit keys, which must stay in their fields.
+    a_bound = a._bound
+    if a_bound + 2 * a_bound * b_bound + b_bound >= _HALF:
+        raise OverflowError("a Laurent exponent leaves its 32-bit field")
+    low, _ = _layout(i + 1)   # biases entries 0..i, so entry i reads off alone
+    at = 32 * i
+    orbits: dict[int, list] = {}
     for ea, ca in a.terms.items():
-        k = ea[i]
-        key = list(ea)
-        for p, y, z in moved:
-            key[p] -= k * y + z
-        orbits.setdefault(tuple(key), []).append((k, ca))
-    out: dict[tuple[int, ...], int] = {}
+        k = (((ea + low) >> at) & _MASK) - _HALF
+        orbits.setdefault(ea - k * d - e, []).append((k, ca))
+    out: dict[int, int] = {}
     for key, run in orbits.items():
         run.sort()
         s = 0
@@ -269,18 +335,21 @@ def _divide_binomial(a: LaurentPolynomial, c: int, e: tuple[int, ...],
             s += ca
             if s:
                 cq = -s * c
-                eq = list(key)
-                for p, y, _ in moved:
-                    eq[p] += k * y
+                eq = key + k * d
                 for _ in range(k, k_next):
-                    out[tuple(eq)] = cq
-                    for p, y, _ in moved:
-                        eq[p] += y
+                    out[eq] = cq
+                    eq += d
         if s + run[-1][1]:
             raise ValueError("not divisible")
-    r = LaurentPolynomial(a.nvars)
-    r.terms = out
-    return r
+    return _laurent(a.nvars, out, a_bound + b_bound)
+
+
+def _lowered(p: LaurentPolynomial):
+    """p's terms keyed by exponent tuples, divided by the monomial of their
+    componentwise minimum, and that minimum; p must be nonzero."""
+    terms = dict(p._items())
+    low = tuple(map(min, zip(*terms)))
+    return {_vec_sub(e, low): c for e, c in terms.items()}, low
 
 
 def divexact(a: LaurentPolynomial, b: LaurentPolynomial) -> LaurentPolynomial:
@@ -291,8 +360,9 @@ def divexact(a: LaurentPolynomial, b: LaurentPolynomial) -> LaurentPolynomial:
     of the Demazure and Euler characteristic paths -- is divided
     synthetically, one running sum per orbit of T^(e1-e2), in time linear in
     the terms of a and of the quotient.  Any other divisor goes through
-    graded-lex long division, which takes each leading term with a max over
-    the remainder.  Exact quotients are unique, so the paths agree.
+    graded-lex long division on unpacked exponents, which takes each leading
+    term with a max over the remainder.  Exact quotients are unique, so the
+    paths agree.
     """
     if b.is_zero():
         raise ZeroDivisionError("division by zero polynomial")
@@ -304,20 +374,16 @@ def divexact(a: LaurentPolynomial, b: LaurentPolynomial) -> LaurentPolynomial:
         for e, c in a.terms.items():
             if c % cb:
                 raise ValueError("not divisible")
-            out[_vec_sub(e, eb)] = c // cb
-        r = LaurentPolynomial(a.nvars)
-        r.terms = out
-        return r
+            out[e - eb] = c // cb
+        return _laurent(a.nvars, out, a._bound + b._bound)
     shape = _binomial_shape(b)
     if shape is not None:
-        return _divide_binomial(a, *shape)
-    sa, sb = a.min_exponents(), b.min_exponents()
-    A = a.shift(tuple(-x for x in sa)).terms
-    B = b.shift(tuple(-x for x in sb))
-    eb, cb = B.leading()
-    bterms = B.terms
+        return _divide_binomial(a, b._bound, *shape)
+    rem, sa = _lowered(a)
+    bterms, sb = _lowered(b)
+    eb = max(bterms, key=_grlex_key)
+    cb = bterms[eb]
     quot: dict[tuple[int, ...], int] = {}
-    rem = dict(A)
     while rem:
         er = max(rem, key=_grlex_key)
         cr = rem[er]
@@ -333,9 +399,8 @@ def divexact(a: LaurentPolynomial, b: LaurentPolynomial) -> LaurentPolynomial:
                 rem[e] = s
             elif e in rem:
                 del rem[e]
-    r = LaurentPolynomial(a.nvars)
-    r.terms = {_vec_add(e, _vec_sub(sa, sb)): c for e, c in quot.items()}
-    return r
+    offset = _vec_sub(sa, sb)
+    return LaurentPolynomial(a.nvars, {_vec_add(e, offset): c for e, c in quot.items()})
 
 
 # -- multivariate gcd -------------------------------------------------------
@@ -381,10 +446,8 @@ def poly_gcd(a: LaurentPolynomial, b: LaurentPolynomial) -> LaurentPolynomial:
         # monomials are units times an integer, only contents survive
         return LaurentPolynomial.constant(a.nvars, math.gcd(a.content(), b.content()))
     n = a.nvars
-    A = a.shift(tuple(-x for x in a.min_exponents()))
-    B = b.shift(tuple(-x for x in b.min_exponents()))
     R = _zz_ring(n)
-    g = R.from_dict(A.terms).gcd(R.from_dict(B.terms))
+    g = R.from_dict(_lowered(a)[0]).gcd(R.from_dict(_lowered(b)[0]))
     return _normalize_gcd(LaurentPolynomial(n, {tuple(e): int(c) for e, c in g.items()}))
 
 
@@ -721,8 +784,7 @@ def render_laurent(p: LaurentPolynomial, names: list[str] | None = None) -> str:
     if not p.terms:
         return "0"
     pieces = []
-    for e in sorted(p.terms, key=_grlex_key, reverse=True):
-        c = p.terms[e]
+    for _, e, c in sorted(((sum(e), e, c) for e, c in p._items()), reverse=True):
         mono = _render_monomial(e, names)
         if not mono:
             body = str(abs(c))

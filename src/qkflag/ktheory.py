@@ -189,7 +189,7 @@ def _demazure_value(a: RationalFunction, b: RationalFunction, ta: int, tb: int,
         return a
     va, vb = _tchar(n, ta), _tchar(n, tb)
     if a.den.is_one() and b.den.is_one():
-        (ea,), (eb,) = va.terms, vb.terms
+        ((ea, _),), ((eb, _),) = va._items(), vb._items()
         return RationalFunction(a.num.shift(eb) - b.num.shift(ea), vb - va)
     return (a * vb - b * va) / (vb - va)
 

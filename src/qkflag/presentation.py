@@ -219,7 +219,7 @@ def pres_q0(p: PresPoly) -> PresPoly:
 
 def _laurent_q_zero(p: LaurentPolynomial, n: int) -> LaurentPolynomial:
     terms = {}
-    for e, c in p.terms.items():
+    for e, c in p._items():
         q = e[n:]
         if any(x < 0 for x in q):
             raise ValueError("negative power of a quantum parameter")
@@ -235,7 +235,7 @@ def _split_q(p: LaurentPolynomial, n: int, k: int) -> dict:
     torus weights alone.
     """
     parts: dict = {}
-    for e, c in p.terms.items():
+    for e, c in p._items():
         q = e[n:]
         if any(x < 0 for x in q):
             raise ValueError("negative power of a quantum parameter")
@@ -480,8 +480,18 @@ def _coulomb_generators(space: FlagSpace) -> list:
 # against the current set, the elements whose leading term no later element
 # divides, and the result is a minimal basis: no leading term divides another.
 
-def _grevlex_key(e: tuple) -> tuple:
-    return (sum(e), tuple(-x for x in reversed(e)))
+class _GrevlexKeys(dict):
+    """Grevlex sort keys by exponent tuple, each computed on first use; the
+    table keeps one entry per distinct monomial for the life of the process
+    (661 after the Coulomb checks on Fl(1,2;3) and Fl(1,3;4))."""
+
+    def __missing__(self, e: tuple) -> tuple:
+        key = self[e] = (sum(e), tuple(-x for x in reversed(e)))
+        return key
+
+
+# a plain bound method, so max and sorted look keys up without a Python frame
+_grevlex_key = _GrevlexKeys().__getitem__
 
 
 def _divides(a: tuple, b: tuple) -> bool:
@@ -630,7 +640,7 @@ def _seed_values(seed: int, n: int) -> list:
 
 
 def _eval_laurent(p: LaurentPolynomial, tvals: list) -> Fraction:
-    return sum(co * prod(t ** x for t, x in zip(tvals, e)) for e, co in p.terms.items())
+    return sum(co * prod(t ** x for t, x in zip(tvals, e)) for e, co in p._items())
 
 
 def groebner_dimension(spec: IdealSpec, seeds: tuple = (0, 1),

@@ -660,6 +660,38 @@ def verify_qk_whitney(space: FlagSpace, bound: int,
     return _report("incidence-whitney", space, bound, status, witnesses)
 
 
+def _word_images(space: FlagSpace, requests: list):
+    """image(j, ell, word) = demazure_word(word, wedge^ell S_j) for the given
+    (j, ell, word) requests, asked in that order.
+
+    Each image is built one letter at a time from the longest prefix image
+    kept.  A prefix's image is kept only where two requests share the prefix
+    and part there, or one of them ends there: those are the prefixes a later
+    request starts from, and the rest would never be read again.
+    """
+    through: dict = {}
+    for j, ell, word in requests:
+        for m in range(1, len(word) + 1):
+            through[j, ell, word[:m]] = through.get((j, ell, word[:m]), 0) + 1
+    passed = {(j, ell, word[:-1]) for (j, ell, word), c in through.items()
+              if through.get((j, ell, word[:-1])) == c}
+    keep = {p for p, c in through.items() if c > 1 and p not in passed}
+    images: dict = {}
+
+    def image(j, ell, word):
+        m = len(word)
+        while m and (j, ell, word[:m]) not in images:
+            m -= 1
+        sigma = images[j, ell, word[:m]] if m else bundle_class(space, j, ell)
+        for m in range(m, len(word)):
+            sigma = demazure_word(word[m:m + 1], sigma)
+            if (j, ell, word[:m + 1]) in keep:
+                images[j, ell, word[:m + 1]] = sigma
+        return sigma
+
+    return image
+
+
 def verify_flag_reduction(nmax: int, bound: int,
                           negative_control: bool = False) -> dict:
     """Unconditional checks behind the complete-flag reduction.
@@ -678,49 +710,37 @@ def verify_flag_reduction(nmax: int, bound: int,
     if bound < 1:
         raise ValueError("nothing to check at this truncation")
     witnesses: list = []
-    images: dict = {}
-
-    def image(space, j, ell, word):
-        # demazure_word(word, wedge^ell S_j) one letter at a time; the words
-        # share many prefixes, so each prefix's image is kept for this call
-        m = len(word)
-        while m and (space, j, ell, word[:m]) not in images:
-            m -= 1
-        sigma = images[space, j, ell, word[:m]] if m else bundle_class(space, j, ell)
-        for m in range(m, len(word)):
-            sigma = demazure_word(word[m:m + 1], sigma)
-            images[space, j, ell, word[:m + 1]] = sigma
-        return sigma
-
     for n in range(3, nmax + 1):
         space = FlagSpace.full(n)
         k = n - 1
         reps = min_coset_reps(space)
+        drops, requests = [], []
         for d in degree_box(k, bound):
             if not any(d):
                 continue
             for i in range(1, n):
                 if d[i - 1] == 0 or (i <= n - 2 and d[i] != 0):
                     continue
-                zfull = z_d(space, d)
                 zrep = z_d_replace_factor(space, d, i,
                                           skip_replacement=negative_control)
-                lowered = tuple(c - 1 if a == i - 1 else c for a, c in enumerate(d))
-                if zrep != z_d(space, lowered):
-                    witnesses.append({
-                        "relation": "degree-drop-word",
-                        "n": n, "d": list(d), "i": i,
-                    })
-                word_full = reduced_word(zfull)
-                word_rep = reduced_word(zrep)
+                word_full, word_rep = reduced_word(z_d(space, d)), reduced_word(zrep)
+                drops.append((d, i, zrep, word_full, word_rep))
                 for ell in range(1, i + 1):
-                    lhs = image(space, i, ell, word_full)
-                    rhs = image(space, i - 1, ell, word_rep)
-                    if lhs != rhs:
-                        witnesses.append({
-                            "relation": "degree-drop-neighborhoods",
-                            "n": n, "d": list(d), "i": i, "ell": ell,
-                        })
+                    requests += [(i, ell, word_full), (i - 1, ell, word_rep)]
+        image = _word_images(space, requests)
+        for d, i, zrep, word_full, word_rep in drops:
+            lowered = tuple(c - 1 if a == i - 1 else c for a, c in enumerate(d))
+            if zrep != z_d(space, lowered):
+                witnesses.append({
+                    "relation": "degree-drop-word",
+                    "n": n, "d": list(d), "i": i,
+                })
+            for ell in range(1, i + 1):
+                if image(i, ell, word_full) != image(i - 1, ell, word_rep):
+                    witnesses.append({
+                        "relation": "degree-drop-neighborhoods",
+                        "n": n, "d": list(d), "i": i, "ell": ell,
+                    })
         for i in range(1, n):
             failing = {}
             for ell in range(1, i + 2):

@@ -11,6 +11,8 @@ from qkflag.algebra import (
     QSeries,
     RationalFunction,
     _binomial_shape,
+    _pack,
+    _unpack,
     divexact,
     elem_sym,
     parse_rational,
@@ -19,6 +21,7 @@ from qkflag.algebra import (
     render_laurent,
     render_rational,
 )
+from qkflag.presentation import _grevlex_key
 
 
 def T(i, nvars=2):
@@ -98,6 +101,62 @@ def test_monomial_unit_inverse():
     m = LaurentPolynomial.monomial(2, (2, -1), -1)
     assert m * m.inverse_unit() == LaurentPolynomial.one(2)
     assert m ** -2 == (m.inverse_unit()) ** 2
+
+
+# -- packed exponent vectors -----------------------------------------------
+
+_EDGES = [-2**31, -2**31 + 1, -1, 0, 1, 2**31 - 2, 2**31 - 1]
+
+
+@given(st.lists(st.one_of(st.sampled_from(_EDGES), st.integers(-2**31, 2**31 - 1)),
+                max_size=8))
+def test_pack_unpack_roundtrip(e):
+    e = tuple(e)
+    assert _unpack(_pack(e), len(e)) == e
+
+
+@given(st.lists(st.integers(-2**31 + 1, 2**31 - 1), min_size=1, max_size=6))
+def test_monomial_keeps_extreme_exponents(e):
+    e = tuple(e)
+    assert LaurentPolynomial.monomial(len(e), e, -2)._items() == [(e, -2)]
+
+
+def test_exponent_overflow_raises():
+    # 31 squarings reach T1^(2^31), one past the largest exponent a field holds
+    with pytest.raises(OverflowError):
+        LaurentPolynomial.variable(2, 1) ** (2 ** 31)
+    assert (T(1) ** (2 ** 30))._items() == [((2 ** 30, 0), 1)]
+    top = LaurentPolynomial.variable(2, 2, -(2 ** 31 - 1))
+    for step in (lambda: top * top, lambda: top.shift((0, -2)), lambda: top / T(2) ** 2,
+                 lambda: LaurentPolynomial.monomial(2, (0, -2 ** 31 - 1))):
+        with pytest.raises(OverflowError):
+            step()
+
+
+def test_exponent_vectors_of_the_wrong_length_are_refused():
+    # a longer vector would pack into fields beyond the variables
+    with pytest.raises(ValueError):
+        LaurentPolynomial(2, {(1, 0, 1): 1})
+    with pytest.raises(ValueError):
+        T(1).shift((0, 0, 1))
+
+
+def test_memoized_grevlex_key_orders_as_formula():
+    rng = random.Random(11)
+    exps = [tuple(rng.randint(0, 4) for _ in range(6)) for _ in range(400)]
+
+    def formula(e):
+        return (sum(e), tuple(-x for x in reversed(e)))
+
+    assert [_grevlex_key(e) for e in exps] == [formula(e) for e in exps]
+    assert sorted(exps, key=_grevlex_key) == sorted(exps, key=formula)
+
+
+@given(laurent_polys(max_terms=2, exp_range=1, coeff_range=4))
+def test_equality_with_int_matches_constant(p):
+    for c in (0, 3, -1):
+        assert (p == c) == (p == LaurentPolynomial.constant(2, c))
+    assert LaurentPolynomial.constant(2, 3) == 3 and LaurentPolynomial.zero(2) == 0
 
 
 # -- exact division and gcd ------------------------------------------------
