@@ -10,7 +10,7 @@ Three layers, all over arbitrary-precision integers with no floating point:
 * :class:`RationalFunction` -- the fraction field, kept in a canonical form
   so structural equality is sound.
 * :class:`QSeries` -- power series in the quantum parameters ``q1..qk``
-  truncated componentwise at a bound D, with rational-function coefficients.
+  truncated componentwise at a bound D, with Laurent polynomial coefficients.
 
 Values are immutable after construction and every operation is pure.
 """
@@ -593,7 +593,7 @@ class RationalFunction:
 class QSeries:
     """Power series in q1..qk truncated at componentwise degree <= bound.
 
-    Coefficients are rational functions in the torus variables.  Working at
+    Coefficients are Laurent polynomials in the torus variables.  Working at
     bound D means computing in the quotient by the ideal (q_1^{D+1}, ...,
     q_k^{D+1}), so every identity asserted here is an identity of all
     coefficients up to that degree.
@@ -602,15 +602,17 @@ class QSeries:
     __slots__ = ("k", "nvars", "bound", "coeffs")
 
     def __init__(self, k: int, nvars: int, bound: int,
-                 coeffs: dict[tuple[int, ...], RationalFunction] | None = None):
+                 coeffs: dict[tuple[int, ...], LaurentPolynomial] | None = None):
         self.k = k
         self.nvars = nvars
         self.bound = bound
-        clean: dict[tuple[int, ...], RationalFunction] = {}
+        clean: dict[tuple[int, ...], LaurentPolynomial] = {}
         if coeffs:
             for d, c in coeffs.items():
                 if any(x < 0 for x in d):
                     raise ValueError("negative q exponent")
+                if not isinstance(c, LaurentPolynomial) or c.nvars != nvars:
+                    raise ValueError(f"coefficients must be Laurent in {nvars} variables")
                 if all(x <= bound for x in d) and not c.is_zero():
                     clean[d] = c
         self.coeffs = clean
@@ -621,20 +623,20 @@ class QSeries:
 
     @staticmethod
     def one(k: int, nvars: int, bound: int) -> "QSeries":
-        return QSeries(k, nvars, bound, {(0,) * k: RationalFunction.of(1, nvars)})
+        return QSeries(k, nvars, bound, {(0,) * k: LaurentPolynomial.one(nvars)})
 
     @staticmethod
     def q(k: int, nvars: int, bound: int, j: int, power: int = 1) -> "QSeries":
         """The monomial q_j^power with 1-based index j."""
         e = [0] * k
         e[j - 1] = power
-        return QSeries(k, nvars, bound, {tuple(e): RationalFunction.of(1, nvars)})
+        return QSeries(k, nvars, bound, {tuple(e): LaurentPolynomial.one(nvars)})
 
     def is_zero(self) -> bool:
         return not self.coeffs
 
-    def constant_term(self) -> RationalFunction:
-        return self.coeffs.get((0,) * self.k, RationalFunction.of(0, self.nvars))
+    def constant_term(self) -> LaurentPolynomial:
+        return self.coeffs.get((0,) * self.k, LaurentPolynomial.zero(self.nvars))
 
     def _check(self, other: "QSeries"):
         if self.k != other.k or self.bound != other.bound or self.nvars != other.nvars:
@@ -644,9 +646,10 @@ class QSeries:
         if isinstance(other, QSeries):
             self._check(other)
             return other
-        if isinstance(other, (int, LaurentPolynomial, RationalFunction)):
-            c = RationalFunction.of(other, self.nvars)
-            return QSeries(self.k, self.nvars, self.bound, {(0,) * self.k: c})
+        if isinstance(other, int):
+            other = LaurentPolynomial.constant(self.nvars, other)
+        if isinstance(other, LaurentPolynomial):
+            return QSeries(self.k, self.nvars, self.bound, {(0,) * self.k: other})
         return NotImplemented
 
     def __add__(self, other):
@@ -686,7 +689,7 @@ class QSeries:
         if other is NotImplemented:
             return NotImplemented
         bound = self.bound
-        out: dict[tuple[int, ...], RationalFunction] = {}
+        out: dict[tuple[int, ...], LaurentPolynomial] = {}
         for d1, c1 in self.coeffs.items():
             for d2, c2 in other.coeffs.items():
                 d = _vec_add(d1, d2)
@@ -706,7 +709,7 @@ class QSeries:
     __rmul__ = __mul__
 
     def __eq__(self, other):
-        if isinstance(other, (int, LaurentPolynomial, RationalFunction)):
+        if isinstance(other, (int, LaurentPolynomial)):
             other = self._coerce(other)
         if not isinstance(other, QSeries):
             return NotImplemented
@@ -748,11 +751,8 @@ def t_elem(n: int, ell: int, nvars: int | None = None) -> LaurentPolynomial:
 
 
 def qs_inverse(a: QSeries) -> QSeries:
-    """Two-sided inverse within the truncation; needs a nonzero constant term."""
-    c = a.constant_term()
-    if c.is_zero():
-        raise ValueError("not a unit")
-    cinv = RationalFunction.of(1, a.nvars) / c
+    """Two-sided inverse within the truncation; needs a unit constant term."""
+    cinv = a.constant_term().inverse_unit()
     # a = c (1 - x) with x of positive q-order; invert by geometric series
     x = QSeries.one(a.k, a.nvars, a.bound) - a * cinv
     acc = QSeries.one(a.k, a.nvars, a.bound)
@@ -820,9 +820,9 @@ def render_qseries(s: QSeries, tnames: list[str] | None = None,
     for d in sorted(s.coeffs, key=_grlex_key):
         c = s.coeffs[d]
         qmono = _render_monomial(d, qnames)
-        body = render_rational(c, tnames)
+        body = render_laurent(c, tnames)
         if qmono:
-            body = f"({body})*{qmono}" if (" " in body or "/" in body) else (
+            body = f"({body})*{qmono}" if " " in body else (
                 qmono if body == "1" else f"-{qmono}" if body == "-1" else f"{body}*{qmono}")
         pieces.append(body)
     return " + ".join(pieces)

@@ -14,7 +14,7 @@ import argparse
 import json
 import sys
 
-from .algebra import _grlex_key, render_rational, t_elem
+from .algebra import _grlex_key, render_laurent, render_rational, t_elem
 from .ktheory import (
     bundle_class,
     bundle_quotient_class,
@@ -252,7 +252,7 @@ def _config(args, space, **params) -> dict:
 
 
 def _series_json(qs) -> list:
-    return [{"d": list(d), "coeff": render_rational(qs.coeffs[d])}
+    return [{"d": list(d), "coeff": render_laurent(qs.coeffs[d])}
             for d in sorted(qs.coeffs, key=_grlex_key)]
 
 
@@ -271,7 +271,7 @@ def _cmd_schubert(args, parser):
     space = _get_space(args, parser)
     w = _get_perm(args, space, parser)
     sigma = schubert_class(space, w, args.basis)
-    rows = [{"u": list(u), "value": render_rational(sigma.at(u))}
+    rows = [{"u": list(u), "value": render_laurent(sigma.at(u))}
             for u in min_coset_reps(space)]
     payload = {
         "config": _config(args, space, w=list(w), basis=args.basis),

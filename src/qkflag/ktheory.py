@@ -1,8 +1,8 @@
 """Equivariant K-theory of type A flag varieties in the fixed-point model.
 
 A class on Fl(r_1..r_k; n) is a function assigning to every torus-fixed point
-(a minimal coset representative) a rational function in the characters
-T_1..T_n.  Three conventions anchor everything else:
+(a minimal coset representative) a Laurent polynomial in the characters
+T_1..T_n, an element of K_T(pt).  Three conventions anchor everything else:
 
 - the class of the point orbit at the identity restricts there to
   prod_{i<j} (1 - T_i/T_j), and to zero elsewhere;
@@ -49,7 +49,7 @@ def _tchar(n: int, a: int) -> LaurentPolynomial:
 
 @dataclass(frozen=True)
 class KClass:
-    """A K-theory class given by its restrictions to the fixed points."""
+    """A K-theory class given by its Laurent restrictions to the fixed points."""
 
     space: FlagSpace
     values: dict
@@ -62,12 +62,12 @@ class KClass:
         vals = {}
         for w in reps:
             v = self.values[w]
-            if not isinstance(v, RationalFunction) or v.nvars != n:
-                raise ValueError("restrictions must be rational functions in T_1..T_n")
+            if not isinstance(v, LaurentPolynomial) or v.nvars != n:
+                raise ValueError("restrictions must be Laurent polynomials in T_1..T_n")
             vals[w] = v
         object.__setattr__(self, "values", vals)
 
-    def at(self, w: Perm) -> RationalFunction:
+    def at(self, w: Perm) -> LaurentPolynomial:
         try:
             return self.values[tuple(w)]
         except KeyError:
@@ -102,27 +102,24 @@ class KClass:
             self._check_same(other)
             vals = {w: v * other.values[w] for w, v in self.values.items()}
             return KClass(self.space, vals)
-        if isinstance(other, (int, LaurentPolynomial, RationalFunction)):
-            c = RationalFunction.of(other, self.space.n)
-            return KClass(self.space, {w: v * c for w, v in self.values.items()})
+        if isinstance(other, (int, LaurentPolynomial)):
+            return KClass(self.space, {w: v * other for w, v in self.values.items()})
         return NotImplemented
 
     __rmul__ = __mul__
 
 
 def zero_class(space: FlagSpace) -> KClass:
-    z = RationalFunction.of(0, space.n)
-    return KClass(space, {w: z for w in min_coset_reps(space)})
+    return scalar_class(space, 0)
 
 
 def one_class(space: FlagSpace) -> KClass:
-    o = RationalFunction.of(1, space.n)
-    return KClass(space, {w: o for w in min_coset_reps(space)})
+    return scalar_class(space, 1)
 
 
 def scalar_class(space: FlagSpace, c) -> KClass:
     """The pullback of c in K_T(pt), constant across the fixed points."""
-    v = RationalFunction.of(c, space.n)
+    v = LaurentPolynomial.one(space.n) * c
     return KClass(space, {w: v for w in min_coset_reps(space)})
 
 
@@ -135,7 +132,7 @@ def _wedge_class(space: FlagSpace, lo: int, hi: int, ell: int) -> KClass:
     vals = {}
     for w in min_coset_reps(space):
         e = elem_sym([_tchar(n, w[p]) for p in range(lo, hi)], ell)
-        vals[w] = RationalFunction.of(e, n)
+        vals[w] = LaurentPolynomial.one(n) * e
     return KClass(space, vals)
 
 
@@ -177,29 +174,30 @@ def det_class(space: FlagSpace, j: int) -> KClass:
 # -- Demazure operators -----------------------------------------------------
 
 
-def _demazure_value(a: RationalFunction, b: RationalFunction, ta: int, tb: int,
-                    n: int) -> RationalFunction:
-    # (a - x b)/(1 - x) with x = T_ta/T_tb, cleared to (T_tb a - T_ta b)/(T_tb - T_ta);
-    # for two Laurent values the numerator is two shifts and the constructor
-    # divides it synthetically by the binomial, any other pair goes through
-    # RationalFunction arithmetic, which hands the constructor the same fraction
+def _demazure_value(a: LaurentPolynomial, b: LaurentPolynomial, ta: int, tb: int,
+                    n: int) -> LaurentPolynomial:
+    # (a - x b)/(1 - x) with x = T_ta/T_tb, cleared to (T_tb a - T_ta b)/(T_tb - T_ta):
+    # the numerator is two shifts and divexact divides it synthetically by
+    # the binomial
     if a.is_zero() and b.is_zero():
         # both restrictions vanish on most orbits of a Schubert class: 10500
         # of the 14280 values that build Fl(5)'s
         return a
     va, vb = _tchar(n, ta), _tchar(n, tb)
-    if a.den.is_one() and b.den.is_one():
-        ((ea, _),), ((eb, _),) = va._items(), vb._items()
-        return RationalFunction(a.num.shift(eb) - b.num.shift(ea), vb - va)
-    return (a * vb - b * va) / (vb - va)
+    ((ea, _),), ((eb, _),) = va._items(), vb._items()
+    try:
+        return divexact(a.shift(eb) - b.shift(ea), vb - va)
+    except ValueError:
+        raise ValueError("the class is not in K_T(Fl(n)): a Demazure quotient "
+                         "is not a Laurent polynomial") from None
 
 
 def demazure_op(i: int, sigma: KClass) -> KClass:
     """Demazure operator for the simple reflection s_i, complete flag only.
 
     The result takes the same value at w and at w s_i, so it is computed once
-    per orbit; for restrictions satisfying the divisibility congruences the
-    division is exact and stays in the Laurent ring.
+    per orbit; the division is exact for classes in K_T(Fl(n)), and any
+    other class is refused with ValueError.
     """
     space = sigma.space
     if not space.is_full:
@@ -245,9 +243,8 @@ def _schubert_full(n: int, w: Perm, variant: str) -> KClass:
     start = identity(n) if variant == "B" else longest_element(n)
     if w == start:
         space = FlagSpace.full(n)
-        zero = RationalFunction.of(0, n)
-        vals = {v: zero for v in min_coset_reps(space)}
-        vals[w] = RationalFunction.of(_tangent_seed(n, w), n)
+        vals = {v: LaurentPolynomial.zero(n) for v in min_coset_reps(space)}
+        vals[w] = _tangent_seed(n, w)
         return KClass(space, vals)
     descent = variant == "B"
     i = next(i for i in range(1, n) if (w[i - 1] > w[i]) == descent)
@@ -305,26 +302,21 @@ def _euler_data(space: FlagSpace):
 def euler_char(sigma: KClass) -> RationalFunction:
     """Equivariant Euler characteristic, an element of K_T(pt).
 
-    The restrictions are put over the product of their distinct
-    denominators, which is 1 for every sheaf class, and the sum is divided
-    by the tangent factors T_a - T_b one at a time in the Laurent ring.
-    Classes of genuine sheaves give a Laurent polynomial; a surviving
-    denominator is reported as a RuntimeWarning and the rational function is
-    returned as computed.
+    The localization sum is divided by the tangent factors T_a - T_b one at
+    a time in the Laurent ring.  Classes of genuine sheaves give a Laurent
+    polynomial; a factor that does not divide is kept as a denominator,
+    reported as a RuntimeWarning, and the RationalFunction is returned.
     """
     rows, factors = _euler_data(sigma.space)
     n = sigma.space.n
     vals = sigma.values
-    remaining = LaurentPolynomial.one(n)
-    for den in {v.den for v in vals.values()}:
-        remaining = remaining * den
     num = LaurentPolynomial.zero(n)
     for w, sign, mexp, inblock in rows:
-        v = vals[w]
-        term = v.num * (inblock * divexact(remaining, v.den))
+        term = vals[w] * inblock
         if sign < 0:
             term = -term
         num = num + term.shift(mexp)
+    remaining = LaurentPolynomial.one(n)
     for f in factors:
         try:
             num = divexact(num, f)
@@ -344,25 +336,25 @@ def expand_schubert(sigma: KClass, basis: str = "B") -> dict:
 
     O_w restricts to zero at x unless x <= w, and O^w unless x >= w, so
     walking the fixed points down for "B" (up for "B-") each coordinate is
-    a_x = (sigma|_x - sum_{v done} a_v * O_v|_x) / O_x|_x.  Classes outside
-    the integral span show up as non-Laurent coordinates, reported with a
-    RuntimeWarning.
+    a_x = (sigma|_x - sum_{v done} a_v * O_v|_x) / O_x|_x.  A class outside
+    the basis' span over K_T(pt) has a non-Laurent coordinate: ValueError.
     """
     if basis not in ("B", "B-"):
         raise ValueError("basis must be 'B' or 'B-'")
     space = sigma.space
     reps = min_coset_reps(space)
     classes = {v: schubert_class(space, v, basis).values for v in reps}
-    coords: dict[Perm, RationalFunction] = {}
+    coords: dict[Perm, LaurentPolynomial] = {}
     for x in (reversed(reps) if basis == "B" else reps):
         acc = sigma.values[x]
         for v, a in coords.items():
             if not (a.is_zero() or classes[v][x].is_zero()):
                 acc = acc - a * classes[v][x]
-        diag = classes[x][x]
-        coords[x] = acc / diag
-    if any(not c.is_laurent() for c in coords.values()):
-        warnings.warn("expansion has non-Laurent coordinates", RuntimeWarning)
+        try:
+            coords[x] = acc / classes[x][x]
+        except ValueError:
+            raise ValueError(f"the class is not in the Schubert span: its coordinate "
+                             f"at {x} is not a Laurent polynomial") from None
     return {w: coords[w] for w in reps}
 
 
@@ -377,7 +369,7 @@ def pairings(sigma: KClass) -> dict:
     space = sigma.space
     found = {v: a for v, a in expand_schubert(sigma, "B-").items() if not a.is_zero()}
     below = _bruhat_below(space)
-    zero = RationalFunction.of(0, space.n)
+    zero = LaurentPolynomial.zero(space.n)
     return {g: sum((found[v] for v in (*below[g], g) if v in found), zero)
             for g in min_coset_reps(space)}
 

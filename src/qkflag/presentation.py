@@ -757,11 +757,10 @@ def coulomb_equivalence(space: FlagSpace, negative_control: bool = False) -> dic
 # -- evaluation into the localization model ----------------------------------
 
 def _series_of_coeff(c: RationalFunction, space: FlagSpace, bound: int) -> QSeries:
+    # a coefficient's (1 - q_j) denominators expand as geometric series
     n, k = space.n, space.k
-    num = QSeries(k, n, bound,
-                  {qe: RationalFunction(p) for qe, p in _split_q(c.num, n, k).items()})
-    den = QSeries(k, n, bound,
-                  {qe: RationalFunction(p) for qe, p in _split_q(c.den, n, k).items()})
+    num = QSeries(k, n, bound, _split_q(c.num, n, k))
+    den = QSeries(k, n, bound, _split_q(c.den, n, k))
     return num * qs_inverse(den)
 
 
@@ -790,11 +789,11 @@ def psi_evaluate(gen: PresPoly, bound: int) -> QKElement:
         f"eY1_{n - 2}": "quot-det",
         "eY2_1": "quot-line",
     }
-    etop = RationalFunction.of(t_elem(n, n), n)
+    etop = t_elem(n, n)
 
     def unit_series(j):
         # the scalar 1 - q_j in the truncated series ring
-        return _series_of_coeff(RationalFunction(_q_unit(space, j)), space, bound)
+        return QSeries.one(2, n, bound) - QSeries.q(2, n, bound, j)
 
     # Multiplication by det(S_2/S_1) and by the quotient line is realized by
     # dividing out a proven product identity: the subbundle line times the

@@ -165,20 +165,23 @@ def _parse_line_arg(oracle: GWOracle, L):
     if not isinstance(L, tuple) or not L:
         raise ValueError("line bundle argument must be a descriptor tuple")
     kind = L[0]
+    zero, one = LaurentPolynomial.zero(n), LaurentPolynomial.one(n)
     if kind == "det" and len(L) == 2:
-        return RationalFunction.of(0, n), RationalFunction.of(1, n), L[1]
+        return zero, one, L[1]
     if kind == "sub1" and len(L) == 1:
         if space.ranks[0] != 1:
             raise ValueError("the first step does not have rank one here")
-        return RationalFunction.of(0, n), RationalFunction.of(1, n), 1
+        return zero, one, 1
     if kind == "opposite" and len(L) == 2:
         j = L[1]
         if not 1 <= j <= space.k:
             raise ValueError(f"no flag step {j} on this space")
         m_j = det_class(space, j).at(min_coset_reps(space)[0])
-        return RationalFunction.of(1, n), RationalFunction.of(-1, n) / m_j, j
+        return one, -m_j.inverse_unit(), j
     if kind == "affine" and len(L) == 4:
-        return (RationalFunction.of(L[1], n), RationalFunction.of(L[2], n), L[3])
+        if not all(isinstance(c, (int, LaurentPolynomial)) for c in L[1:3]):
+            raise ValueError("affine coefficients must be ints or Laurent polynomials")
+        return one * L[1], one * L[2], L[3]
     raise ValueError(f"unsupported line bundle descriptor {L!r}")
 
 
@@ -243,7 +246,7 @@ def quantum_gram(space: FlagSpace, bound: int):
     """
     reps = min_coset_reps(space)
     k, n = space.k, space.n
-    one = RationalFunction.of(1, n)
+    one = LaurentPolynomial.one(n)
     return {
         u: {v: QSeries(k, n, bound, {d: one for d, g in labels if bruhat_leq(v, g)})
             for v in reps}
@@ -321,7 +324,7 @@ class QKElement:
                          {w: -qs for w, qs in self.coords.items()})
 
     def __mul__(self, other):
-        if isinstance(other, (int, LaurentPolynomial, RationalFunction, QSeries)):
+        if isinstance(other, (int, LaurentPolynomial, QSeries)):
             return QKElement(self.space, self.bound,
                              {w: qs * other for w, qs in self.coords.items()})
         return NotImplemented
@@ -389,7 +392,7 @@ def _triangular_solve(space: FlagSpace, bound: int, rows: list, rhs: dict,
     without a multiply.
     """
     k, n = space.k, space.n
-    zero = RationalFunction.of(0, n)
+    zero = LaurentPolynomial.zero(n)
     sol: dict = {r: {} for r, _ in rows}
     indexed = []
     for r, terms in rows:
@@ -431,7 +434,7 @@ def _det_column(space: FlagSpace, j: int, dropped: bool, bound: int,
     O_w expansions C_h of O^h, read only where s_h != 0.  dropped selects
     the mutated vanishing rule on step j.
     """
-    one = RationalFunction.of(1, space.n)
+    one = LaurentPolynomial.one(space.n)
     column = _pairing_vector(space, j, dropped, schubert_class(space, w, "B"), bound)
     rows = [(u, [(d, g, one) for d, g in labels if any(d)])
             for u, labels in _neighborhoods(space, bound).items()]
@@ -525,9 +528,9 @@ def line_bundle_solve(oracle: GWOracle, L, sigma: QKElement,
     Line bundle classes are units, so the product operator is invertible:
     its classical part is triangular with unit monomials on the diagonal,
     so rows are solved in reverse basis order, dividing by the diagonal,
-    and the quantum corrections are handled degree by degree.  A class that
-    vanishes at some fixed point, such as the opposite divisor at the
-    identity coset, is not a unit and is refused.
+    and the quantum corrections are handled degree by degree.  A class with
+    a restriction that is not a unit, such as the opposite divisor at the
+    identity coset, is refused.
     """
     space = oracle.space
     c0, c1, j = _line_operands(oracle, L, sigma, bound)
@@ -535,9 +538,11 @@ def line_bundle_solve(oracle: GWOracle, L, sigma: QKElement,
     for w in reps:
         # the operator's diagonal entry at w is the restriction L|_w
         value = c0 if c1.is_zero() else c0 + c1 * det_class(space, j).at(w)
-        if value.is_zero():
-            raise ValueError(f"{L!r} vanishes at the fixed point {w}, "
-                             "so it is not a unit")
+        try:
+            value.inverse_unit()
+        except ValueError:
+            raise ValueError(f"{L!r} restricts to {value} at the fixed point {w}, "
+                             "so it is not a unit") from None
     rows, diag = _line_matrix(oracle, L, bound)
     rhs = {w: sigma.at(w) for w in reps}
     return QKElement(space, bound,
@@ -602,7 +607,7 @@ def verify_qk_whitney(space: FlagSpace, bound: int,
     sub1 = [bundle_class(space, 1, m) for m in range(n + 1)]
     quot = [bundle_quotient_class(space, 1, m) for m in range(n)]
     det2 = det_class(space, 2)
-    e_top = RationalFunction.of(t_elem(n, n), n)
+    e_top = t_elem(n, n)
 
     def embed(cls):
         return embed_classical(cls, bound)
@@ -797,7 +802,7 @@ def conjectural_product_fln(n: int, bound: int):
             inner = embed(bundle_class(space, i, ell - 1)) \
                 - embed(bundle_class(space, i - 1, ell - 1)) * q[i]
             if i + 1 == n:
-                rhs = inner * RationalFunction.of(t_elem(n, n), n)
+                rhs = inner * t_elem(n, n)
             else:
                 rhs = line_bundle_product(oracle, ("det", i + 1), inner, bound)
             _diff_witnesses(witnesses, {("det-wedge-products", ell): lhs - rhs})

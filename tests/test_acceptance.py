@@ -8,7 +8,7 @@ the stated time caps are asserted where the criterion carries one.
 import itertools
 import time
 
-from qkflag.algebra import QSeries, RationalFunction, t_elem
+from qkflag.algebra import LaurentPolynomial, QSeries, t_elem
 from qkflag.curves import curve_neighborhood_schubert, incidence_neighborhood_label
 from qkflag.ktheory import (
     bundle_quotient_class,
@@ -142,8 +142,8 @@ def test_criterion_06_determinant_products_from_metric_inversion():
                 oracle, ("det", i), embed_classical(quot_det, bound), bound)
             e_i = tuple(1 if a == i - 1 else 0 for a in range(2))
             one_minus_qi = QSeries(2, n, bound, {
-                (0, 0): RationalFunction.of(1, n),
-                e_i: RationalFunction.of(-1, n),
+                (0, 0): LaurentPolynomial.one(n),
+                e_i: -LaurentPolynomial.one(n),
             })
             rhs = embed_classical(det_class(space, i + 1), bound) * one_minus_qi
             assert (lhs - rhs).is_zero()

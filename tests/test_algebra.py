@@ -350,8 +350,7 @@ def test_qs_identity_element():
     rng = random.Random(7)
     coeffs = {}
     for d in [(0,), (1,), (2,)]:
-        p = _random_poly(rng, nvars=1)
-        coeffs[d] = RationalFunction(p)
+        coeffs[d] = _random_poly(rng, nvars=1)
     a = QSeries(1, 1, 2, coeffs)
     assert a * qs_one() == a
 
@@ -367,6 +366,12 @@ def test_qs_mismatched_bounds_rejected():
         QSeries.one(1, 1, 2) * QSeries.one(1, 1, 3)
 
 
+def test_qs_refuses_coefficients_outside_the_laurent_ring():
+    for c in (RationalFunction.of(1, 1), RationalFunction(T(1, 1), T(1, 1) + 1), 1, T(1)):
+        with pytest.raises(ValueError, match="Laurent"):
+            QSeries(1, 1, 2, {(0,): c})
+
+
 def test_qs_inverse_geometric():
     a = qs_one() - QSeries.q(1, 1, 2, 1)
     q1 = QSeries.q(1, 1, 2, 1)
@@ -378,8 +383,10 @@ def test_qs_inverse_of_one():
 
 
 def test_qs_inverse_nonunit_raises():
-    with pytest.raises(ValueError, match="not a unit"):
-        qs_inverse(QSeries.q(1, 1, 2, 1))
+    for c in (LaurentPolynomial.zero(1), LaurentPolynomial.one(1) + T(1, 1)):
+        a = QSeries.q(1, 1, 2, 1) + c
+        with pytest.raises(ValueError, match="not a unit"):
+            qs_inverse(a)
 
 
 @pytest.mark.parametrize("bound", [1, 2, 3])
@@ -392,8 +399,9 @@ def test_qs_inverse_involution(bound):
                 if rng.random() < 0.4:
                     p = _random_poly(rng, nvars=1, max_terms=2, exp_range=1)
                     if not p.is_zero():
-                        coeffs[(d0, d1)] = RationalFunction(p)
-        coeffs[(0, 0)] = RationalFunction(LaurentPolynomial.one(1) + T(1, 1))
+                        coeffs[(d0, d1)] = p
+        coeffs[(0, 0)] = LaurentPolynomial.monomial(1, (rng.randint(-2, 2),),
+                                                    rng.choice((1, -1)))
         a = QSeries(2, 1, bound, coeffs)
         inv = qs_inverse(a)
         assert a * inv == QSeries.one(2, 1, bound)

@@ -244,6 +244,25 @@ def test_groebner_verify_digests(capsys, command, digest):
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
+@pytest.mark.parametrize("command, digest", [
+    # opposite Schubert restrictions
+    ("schubert --n 4 --ranks 1,3 --w 2134 --basis B-",
+     "d464fa4fe2fcefbe3ac239cff594a6c1ffecc34ff543893b0f57ec941ac981a6"),
+    # the Grassmannian oracle
+    ("product --n 4 --ranks 2 --L detS1 --sigma O:1324",
+     "f08412725348a8bb564002061445b2e75ea5a60a92efdc7d0c42ad520c7d4d68"),
+    # the opposite divisor's scalar -1/m_j, in a product and an invariant
+    ("product --n 4 --ranks 1,3 --L opposite1 --sigma O:2134",
+     "8c365231b5f3465b4e53b712c2b83f67f5a358643218b8c3ba47b469158b9fd8"),
+    ("gw --n 4 --ranks 1,3 --type 3pt --L opposite2 --sigma wedge1S2 --w 1234 --d 0,1",
+     "b3dea41c2020cf6a505720e2c656810b805e542333d8c7af2c091b5ed4ac2b54"),
+], ids=["schubert-opposite", "grassmannian-product", "opposite-product", "opposite-gw"])
+def test_rendered_value_digests(capsys, command, digest):
+    code, out, _ = run(capsys, *command.split())
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
 def test_gw_det_of_zero_bundle_is_one(capsys):
     # det S_0 = O, so its two-point invariant at degree 0 is chi(O_w) = 1
     argv = ["gw", "--n", "3", "--ranks", "1,2", "--type", "2pt",

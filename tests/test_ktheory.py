@@ -16,7 +16,7 @@ from qkflag.algebra import (
     LaurentPolynomial,
     RationalFunction,
     elem_sym,
-    render_rational,
+    render_laurent,
 )
 from qkflag.ktheory import (
     KClass,
@@ -81,10 +81,19 @@ def random_laurent(rng, n):
     return p
 
 def random_class(rng, space):
+    # random Laurent restrictions: almost never a class in K_T(space)
     vals = {}
     for w in min_coset_reps(space):
-        vals[w] = rf(random_laurent(rng, space.n), space.n)
+        vals[w] = random_laurent(rng, space.n)
     return KClass(space, vals)
+
+
+def random_combination(rng, space, terms=3):
+    # a random Laurent combination of Schubert classes, a class in K_T(space)
+    sigma = zero_class(space)
+    for w in rng.sample(min_coset_reps(space), terms):
+        sigma = sigma + schubert_class(space, w, "B") * random_laurent(rng, space.n)
+    return sigma
 
 
 def all_reduced_words(w):
@@ -175,7 +184,7 @@ def test_demazure_is_projection_and_satisfies_braid():
     rng = random.Random(7)
     space = FlagSpace.full(3)
     for _ in range(30):
-        sigma = random_class(rng, space)
+        sigma = random_combination(rng, space)
         for i in (1, 2):
             once = demazure_op(i, sigma)
             assert demazure_op(i, once) == once
@@ -186,19 +195,22 @@ def test_demazure_is_projection_and_satisfies_braid():
         assert left == right
     space4 = FlagSpace.full(4)
     for _ in range(8):
-        sigma = random_class(rng, space4)
+        sigma = random_combination(rng, space4)
         assert demazure_op(1, demazure_op(3, sigma)) == demazure_op(3, demazure_op(1, sigma))
         left = demazure_op(2, demazure_op(3, demazure_op(2, sigma)))
         right = demazure_op(3, demazure_op(2, demazure_op(3, sigma)))
         assert left == right
+    # random Laurent restrictions break the divisibility congruences
+    with pytest.raises(ValueError, match="not in K_T"):
+        demazure_op(1, random_class(rng, space))
 
 
 def test_demazure_is_linear_over_constants():
     rng = random.Random(11)
     space = FlagSpace.full(3)
     for _ in range(10):
-        sigma = random_class(rng, space)
-        tau = random_class(rng, space)
+        sigma = random_combination(rng, space)
+        tau = random_combination(rng, space)
         c = random_laurent(rng, 3)
         for i in (1, 2):
             combined = demazure_op(i, sigma * c + tau)
@@ -206,25 +218,26 @@ def test_demazure_is_linear_over_constants():
 
 
 def test_demazure_laurent_path_matches_rational_formula():
-    # two Laurent restrictions take the shifted-numerator path; compare it
-    # with (T_b a - T_a b)/(T_b - T_a) in RationalFunction arithmetic, on
-    # random values (a genuine fraction for the gcd) and on random Laurent
-    # combinations of Schubert classes (the division is exact)
+    # the shifted numerator divided by the binomial agrees with
+    # (T_b a - T_a b)/(T_b - T_a) in RationalFunction arithmetic on random
+    # Laurent combinations of Schubert classes (the division is exact); on
+    # random values, where that fraction is genuine, the operator refuses
     rng = random.Random(23)
     for n, rounds in ((3, 12), (4, 4)):
         space = FlagSpace.full(n)
         reps = min_coset_reps(space)
         for _ in range(rounds):
-            combo = zero_class(space)
-            for w in rng.sample(reps, 3):
-                combo = combo + schubert_class(space, w, "B") * random_laurent(rng, n)
-            for sigma in (random_class(rng, space), combo):
-                for i in range(1, n):
-                    image = demazure_op(i, sigma)
-                    for w in reps:
-                        a, b = sigma.at(w), sigma.at(right_mul(w, i))
-                        va, vb = rf(tvar(n, w[i - 1]), n), rf(tvar(n, w[i]), n)
-                        assert image.at(w) == (a * vb - b * va) / (vb - va)
+            sigma = random_combination(rng, space)
+            for i in range(1, n):
+                image = demazure_op(i, sigma)
+                for w in reps:
+                    a, b = sigma.at(w), sigma.at(right_mul(w, i))
+                    va, vb = rf(tvar(n, w[i - 1]), n), rf(tvar(n, w[i]), n)
+                    assert image.at(w) == (a * vb - b * va) / (vb - va)
+            noise = random_class(rng, space)
+            for i in range(1, n):
+                with pytest.raises(ValueError, match="not in K_T"):
+                    demazure_op(i, noise)
 
 
 def test_fl4_schubert_classes_pinned():
@@ -236,7 +249,7 @@ def test_fl4_schubert_classes_pinned():
         for w in reps:
             cls = schubert_class(space, w, variant)
             for v in reps:
-                table.update(f"{variant} {w} {v} {render_rational(cls.at(v))}\n".encode())
+                table.update(f"{variant} {w} {v} {render_laurent(cls.at(v))}\n".encode())
     assert table.hexdigest() == \
         "679b03c7c56343227fa787cced28b15a4a40afcf51b20e2f727c45fefeb091f7"
 
@@ -430,31 +443,35 @@ def test_expansions_and_pairings_match_euler_char():
                 assert paired[v] == chi_lower
 
 
-def test_expand_schubert_reports_non_laurent_coordinates():
+def _fl2_point_indicator():
+    # 1 at the identity and 0 at s_1: not a class in K_T(Fl(2)), since
+    # 1 - 0 is not divisible by T_1 - T_2
     space = FlagSpace.full(2)
-    vals = {identity(2): rf(1, 2), simple_reflection(2, 1): rf(0, 2)}
-    sigma = KClass(space, vals)
-    with pytest.warns(RuntimeWarning):
-        coords = expand_schubert(sigma, "B")
-    assert not coords[identity(2)].is_laurent()
+    return KClass(space, {identity(2): LaurentPolynomial.one(2),
+                          simple_reflection(2, 1): LaurentPolynomial.zero(2)})
+
+
+def test_expand_schubert_reports_non_laurent_coordinates():
+    with pytest.raises(ValueError, match="not in the Schubert span"):
+        expand_schubert(_fl2_point_indicator(), "B")
 
 
 def test_euler_char_warns_when_denominator_survives():
-    space = FlagSpace.full(2)
-    vals = {identity(2): rf(1, 2), simple_reflection(2, 1): rf(0, 2)}
-    sigma = KClass(space, vals)
     with pytest.warns(RuntimeWarning):
-        chi = euler_char(sigma)
+        chi = euler_char(_fl2_point_indicator())
     assert not chi.is_laurent()
     expected = rf(1, 2) / rf(LaurentPolynomial.one(2) - tvar(2, 1) * tvar(2, 2).inverse_unit(), 2)
     assert chi == expected
-    # restrictions with a genuine denominator: chi(O_w) = 1, so scaling a
-    # Schubert class by c scales its Euler characteristic by c
+    # a class holds Laurent values only: a RationalFunction restriction is
+    # refused, with a denominator of 1 or without
     space = FlagSpace(3, (1, 2))
-    c = RationalFunction(LaurentPolynomial.one(3), tvar(3, 1) - tvar(3, 2))
-    for w in min_coset_reps(space):
-        with pytest.warns(RuntimeWarning):
-            assert euler_char(schubert_class(space, w) * c) == c
+    for c in (rf(1, 3), RationalFunction(LaurentPolynomial.one(3), tvar(3, 1) - tvar(3, 2))):
+        vals = dict(schubert_class(space, (1, 2, 3)).values)
+        vals[(1, 2, 3)] = c
+        with pytest.raises(ValueError, match="Laurent"):
+            KClass(space, vals)
+        with pytest.raises(ValueError, match="Laurent"):
+            scalar_class(space, c)
 
 
 def test_euler_char_is_linear_over_constants():

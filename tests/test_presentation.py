@@ -347,7 +347,7 @@ def test_psi_on_classical_relation_sees_the_quantum_correction():
     cl = ideal_generators(INC3, "classical").generators
     img = psi_evaluate(cl[1], 2)
     det2 = embed_classical(det_class(INC3, 2), 2)
-    q1 = QSeries(2, 3, 2, {(1, 0): RationalFunction.of(1, 3)})
+    q1 = QSeries(2, 3, 2, {(1, 0): LaurentPolynomial.one(3)})
     assert (img + det2 * q1).is_zero()
 
 

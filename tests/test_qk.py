@@ -135,7 +135,7 @@ def test_opposite_divisor_class_identity():
         s = simple_reflection(n, r)
         minv = LaurentPolynomial.monomial(n, tuple(-1 if a < r else 0 for a in range(n)))
         opp = schubert_class(space, s, "B-")
-        expected = one_class(space) - det_class(space, j) * rf(minv, n)
+        expected = one_class(space) - det_class(space, j) * minv
         assert opp == expected
 
 
@@ -290,7 +290,7 @@ def test_wedge_ladder_products():
     # det S_2 * (e_ell - wedge^ell S_2) on the rank (1, 2) space
     oracle = GWOracle("incidence-proven", FL3)
     q2 = QSeries.q(2, 3, 2, 2)
-    e_top = rf(t_elem(3, 3), 3)
+    e_top = t_elem(3, 3)
     for ell in range(1, 4):
         mid = scalar_class(FL3, t_elem(3, ell)) - bundle_class(FL3, 2, ell)
         lhs = line_bundle_product(oracle, ("det", 2), embed_classical(mid, 2), 2)
@@ -326,7 +326,7 @@ def _whole_vector_det_product(space, j, sigma, bound, mode="incidence-proven"):
         for w, qs in sigma.coords.items():
             cls = schubert_class(space, w, "B")
             acc = acc + qs * QSeries(k, n, bound, {
-                d: gw3_divisor(oracle, ("det", j), cls, u, d)
+                d: gw3_divisor(oracle, ("det", j), cls, u, d).as_laurent()
                 for d in degree_box(k, bound)})
         b[u] = acc
     gram = quantum_gram(space, bound)
@@ -374,7 +374,7 @@ def test_det_columns_match_dense_dual_recombination():
             if bruhat_leq(g, h):
                 coords = {u: c - dh[u] for u, c in coords.items()}
         dual[g] = coords
-    one = rf(1, space.n)
+    one = LaurentPolynomial.one(space.n)
     rows = [(u, [(d, g, one) for d, g in labels if any(d)])
             for u, labels in qk._neighborhoods(space, bound).items()]
     for j in GWOracle("full-flag-conjectural", space).divisor_steps():
@@ -447,7 +447,8 @@ def test_line_bundle_solve_inverts_products():
 def test_line_bundle_solve_refuses_opposite_divisor():
     # O^{s_r} vanishes at the identity coset, so it is not a unit: dividing
     # by it is a usage error, not a failed internal invariant.  The same
-    # holds for the zero class and for T1 - det S_1, which vanish there too.
+    # holds for the zero class and for T1 - det S_1, which vanish there too,
+    # and for 2 + det S_1, which vanishes nowhere but restricts to 2 + T_a.
     for oracle in (GWOracle("incidence-proven", FL3),
                    GWOracle("full-flag-conjectural", FL3),
                    GWOracle("incidence-proven", FL134)):
@@ -455,7 +456,8 @@ def test_line_bundle_solve_refuses_opposite_divisor():
         sigma = embed_classical(one_class(oracle.space), 1)
         descriptors = [("opposite", j) for j in range(1, oracle.space.k + 1)]
         descriptors += [("affine", 0, 0, 1),
-                        ("affine", LaurentPolynomial.variable(n, 1), -1, 1)]
+                        ("affine", LaurentPolynomial.variable(n, 1), -1, 1),
+                        ("affine", 2, 1, 1)]
         for L in descriptors:
             with pytest.raises(ValueError, match="not a unit"):
                 line_bundle_solve(oracle, L, sigma, 1)
@@ -596,7 +598,7 @@ def test_whitney_catches_mutated_sub_line_invariant(monkeypatch):
         if j != 1:
             return out
         ones = QSeries(space.k, space.n, bound,
-                       {d: rf(1, space.n) for d in degree_box(space.k, bound)})
+                       {d: LaurentPolynomial.one(space.n) for d in degree_box(space.k, bound)})
         return out + QKElement(space, bound, {u: ones for u in min_coset_reps(space)})
 
     monkeypatch.setattr(qk, "_pairing_vector", shifted)
