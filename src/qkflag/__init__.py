@@ -10,7 +10,6 @@ __version__ = "0.1.0"
 from .algebra import (
     LaurentPolynomial,
     QSeries,
-    RationalFunction,
     elem_sym,
     qs_inverse,
 )

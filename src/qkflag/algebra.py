@@ -1,14 +1,12 @@
 """Exact sparse arithmetic kernel.
 
-Three layers, all over arbitrary-precision integers with no floating point:
+Two layers, all over arbitrary-precision integers with no floating point:
 
 * :class:`LaurentPolynomial` -- sparse multivariate Laurent polynomials in
   the torus characters ``T1..Tn``, stored as a map from packed exponent
   vectors (one integer each, a signed field in ``[-2^31, 2^31)`` per
   variable) to nonzero coefficients; an exponent that would leave its field
   raises ``OverflowError`` rather than alias two monomials.
-* :class:`RationalFunction` -- the fraction field, kept in a canonical form
-  so structural equality is sound.
 * :class:`QSeries` -- power series in the quantum parameters ``q1..qk``
   truncated componentwise at a bound D, with Laurent polynomial coefficients.
 
@@ -17,7 +15,6 @@ Values are immutable after construction and every operation is pure.
 
 from __future__ import annotations
 
-import math
 from functools import lru_cache
 
 
@@ -264,16 +261,6 @@ class LaurentPolynomial:
         return [(unpack(((e + bias) ^ bias).to_bytes(size, "little")), c)
                 for e, c in self.terms.items()]
 
-    def leading(self) -> tuple[tuple[int, ...], int]:
-        """Leading term under graded lex (total degree, then lex on exponents)."""
-        return max((sum(e), e, c) for e, c in self._items())[1:]
-
-    def min_exponents(self) -> tuple[int, ...]:
-        """Componentwise minimum exponent over all terms (zero poly -> zeros)."""
-        if not self.terms:
-            return (0,) * self.nvars
-        return tuple(map(min, zip(*(e for e, _ in self._items()))))
-
     def shift(self, delta: tuple[int, ...]) -> "LaurentPolynomial":
         if len(delta) != self.nvars:
             raise ValueError("shift vector length does not match the variables")
@@ -282,15 +269,6 @@ class LaurentPolynomial:
             return self
         bound = self._bound + max(map(abs, delta))
         return _laurent(self.nvars, {e + moved: c for e, c in self.terms.items()}, bound)
-
-    def content(self) -> int:
-        """Positive integer gcd of all coefficients (0 for the zero poly)."""
-        g = 0
-        for c in self.terms.values():
-            g = math.gcd(g, c)
-            if g == 1:
-                return 1
-        return g
 
 
 def _binomial_shape(b: LaurentPolynomial):
@@ -401,193 +379,6 @@ def divexact(a: LaurentPolynomial, b: LaurentPolynomial) -> LaurentPolynomial:
                 del rem[e]
     offset = _vec_sub(sa, sb)
     return LaurentPolynomial(a.nvars, {_vec_add(e, offset): c for e, c in quot.items()})
-
-
-# -- multivariate gcd -------------------------------------------------------
-#
-# Canonical fractions need a genuine multivariate gcd; that is delegated to
-# sympy's sparse polynomial rings, which use modular and heuristic
-# algorithms that stay fast where a naive remainder sequence blows up.
-# Only the integer-polynomial kernel is delegated; the Laurent-unit
-# bookkeeping stays here.
-
-_ZZ_RINGS: dict[int, object] = {}
-
-
-def _zz_ring(nvars: int):
-    R = _ZZ_RINGS.get(nvars)
-    if R is None:
-        from sympy.polys.domains import ZZ
-        from sympy.polys.rings import ring
-
-        R = ring([f"x{i}" for i in range(nvars)], ZZ)[0]
-        _ZZ_RINGS[nvars] = R
-    return R
-
-
-def _normalize_gcd(g: LaurentPolynomial) -> LaurentPolynomial:
-    if g.is_zero():
-        return g
-    g = g.shift(tuple(-x for x in g.min_exponents()))
-    if g.leading()[1] < 0:
-        g = -g
-    return g
-
-
-def poly_gcd(a: LaurentPolynomial, b: LaurentPolynomial) -> LaurentPolynomial:
-    """GCD in the Laurent ring, normalized: min exponent 0 in every variable
-    and positive graded-lex leading coefficient.  Up to that choice of unit
-    the result is the usual UFD gcd."""
-    if a.is_zero():
-        return _normalize_gcd(b)
-    if b.is_zero():
-        return _normalize_gcd(a)
-    if a.is_monomial() or b.is_monomial():
-        # monomials are units times an integer, only contents survive
-        return LaurentPolynomial.constant(a.nvars, math.gcd(a.content(), b.content()))
-    n = a.nvars
-    R = _zz_ring(n)
-    g = R.from_dict(_lowered(a)[0]).gcd(R.from_dict(_lowered(b)[0]))
-    return _normalize_gcd(LaurentPolynomial(n, {tuple(e): int(c) for e, c in g.items()}))
-
-
-class RationalFunction:
-    """Quotient of Laurent polynomials in canonical form.
-
-    Canonical means: gcd(num, den) is a unit, the denominator is an honest
-    polynomial not divisible by any variable, and its graded-lex leading
-    coefficient is positive, so den == 1 exactly when the value is a Laurent
-    polynomial.  The constructor is the one place that divides: a
-    denominator of 1 (or None) is kept as given, one that divides the
-    numerator in the Laurent ring leaves the exact quotient over 1, and any
-    other is reduced by the gcd.
-    """
-
-    __slots__ = ("num", "den")
-
-    def __init__(self, num: LaurentPolynomial, den: LaurentPolynomial | None = None):
-        if den is None or den.is_one():
-            self.num = num
-            self.den = LaurentPolynomial.one(num.nvars) if den is None else den
-            return
-        if den.is_zero():
-            raise ZeroDivisionError("zero denominator")
-        try:
-            self.num = divexact(num, den)
-            self.den = LaurentPolynomial.one(num.nvars)
-            return
-        except ValueError:
-            pass
-        g = poly_gcd(num, den)
-        num = divexact(num, g)
-        den = divexact(den, g)
-        sd = den.min_exponents()
-        den = den.shift(tuple(-x for x in sd))
-        num = num.shift(tuple(-x for x in sd))
-        if den.leading()[1] < 0:
-            num, den = -num, -den
-        self.num = num
-        self.den = den
-
-    # -- helpers -----------------------------------------------------------
-
-    @property
-    def nvars(self) -> int:
-        return self.num.nvars
-
-    @staticmethod
-    def of(x, nvars: int | None = None) -> "RationalFunction":
-        if isinstance(x, RationalFunction):
-            return x
-        if isinstance(x, LaurentPolynomial):
-            return RationalFunction(x)
-        if isinstance(x, int):
-            if nvars is None:
-                raise ValueError("nvars needed to promote an integer")
-            return RationalFunction(LaurentPolynomial.constant(nvars, x))
-        raise TypeError(f"cannot promote {type(x).__name__}")
-
-    def is_zero(self) -> bool:
-        return self.num.is_zero()
-
-    def is_one(self) -> bool:
-        return self.num.is_one() and self.den.is_one()
-
-    def is_laurent(self) -> bool:
-        return self.den.is_one()
-
-    def as_laurent(self) -> LaurentPolynomial:
-        if not self.den.is_one():
-            raise ValueError("denominator did not cancel")
-        return self.num
-
-    # -- field operations --------------------------------------------------
-
-    def _coerce(self, other):
-        if isinstance(other, (LaurentPolynomial, int)):
-            return RationalFunction.of(other, self.nvars)
-        if isinstance(other, RationalFunction):
-            return other
-        return NotImplemented
-
-    def __add__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        if self.den == other.den:
-            return RationalFunction(self.num + other.num, self.den)
-        return RationalFunction(self.num * other.den + other.num * self.den, self.den * other.den)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        r = RationalFunction.__new__(RationalFunction)
-        r.num = -self.num
-        r.den = self.den
-        return r
-
-    def __sub__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self + (-other)
-
-    def __rsub__(self, other):
-        return (-self) + other
-
-    def __mul__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        if self.den.is_one() and other.den.is_one():
-            return RationalFunction(self.num * other.num)
-        return RationalFunction(self.num * other.num, self.den * other.den)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        if other.is_zero():
-            raise ZeroDivisionError("division by zero")
-        return RationalFunction(self.num * other.den, self.den * other.num)
-
-    def __rtruediv__(self, other):
-        return RationalFunction.of(other, self.nvars) / self
-
-    def __eq__(self, other):
-        if isinstance(other, (int, LaurentPolynomial)):
-            other = RationalFunction.of(other, self.nvars)
-        if not isinstance(other, RationalFunction):
-            return NotImplemented
-        return self.num == other.num and self.den == other.den
-
-    def __hash__(self):
-        return hash((self.num, self.den))
-
-    def __repr__(self):
-        return f"RationalFunction({render_rational(self)})"
 
 
 class QSeries:
@@ -726,8 +517,8 @@ class QSeries:
 def elem_sym(vars: list, ell: int):
     """Elementary symmetric polynomial e_ell of the inputs.
 
-    e_0 = 1 (empty product), e_ell = 0 for ell > len(vars).  Inputs may be
-    Laurent polynomials or rational functions; the result follows suit.
+    e_0 = 1 (empty product), e_ell = 0 for ell > len(vars).  Inputs are
+    Laurent polynomials.
     """
     if ell < 0:
         raise ValueError("negative degree")
@@ -800,14 +591,6 @@ def render_laurent(p: LaurentPolynomial, names: list[str] | None = None) -> str:
     return out
 
 
-def render_rational(r: RationalFunction, names: list[str] | None = None) -> str:
-    if names is None:
-        names = default_names(r.nvars)
-    if r.den.is_one():
-        return render_laurent(r.num, names)
-    return f"({render_laurent(r.num, names)})/({render_laurent(r.den, names)})"
-
-
 def render_qseries(s: QSeries, tnames: list[str] | None = None,
                    qnames: list[str] | None = None) -> str:
     if tnames is None:
@@ -835,6 +618,9 @@ class _Parser:
     term   := factor (('*'|'/') factor)*
     factor := '-'* atom ('^' int)?
     atom   := integer | name | '(' expr ')'
+
+    Values are Laurent polynomials: '/' is exact division and a negative
+    power inverts a unit, each raising ``ValueError`` otherwise.
     """
 
     def __init__(self, text: str, names: list[str]):
@@ -856,14 +642,14 @@ class _Parser:
             raise ValueError(f"expected {ch!r} at position {self.pos} in {self.text!r}")
         self.pos += 1
 
-    def parse(self) -> RationalFunction:
+    def parse(self) -> LaurentPolynomial:
         v = self._expr()
         self._skip()
         if self.pos != len(self.text):
             raise ValueError(f"trailing input at position {self.pos} in {self.text!r}")
         return v
 
-    def _expr(self) -> RationalFunction:
+    def _expr(self) -> LaurentPolynomial:
         v = self._term()
         while True:
             ch = self._peek()
@@ -876,7 +662,7 @@ class _Parser:
             else:
                 return v
 
-    def _term(self) -> RationalFunction:
+    def _term(self) -> LaurentPolynomial:
         v = self._factor()
         while True:
             ch = self._peek()
@@ -889,7 +675,7 @@ class _Parser:
             else:
                 return v
 
-    def _factor(self) -> RationalFunction:
+    def _factor(self) -> LaurentPolynomial:
         sign = 1
         while self._peek() == "-":
             sign = -sign
@@ -897,19 +683,8 @@ class _Parser:
         v = self._atom()
         if self._peek() == "^":
             self.pos += 1
-            k = self._int()
-            if k >= 0:
-                v = self._rf_pow(v, k)
-            else:
-                v = RationalFunction.of(1, self.nvars) / self._rf_pow(v, -k)
+            v = v ** self._int()
         return v if sign == 1 else -v
-
-    @staticmethod
-    def _rf_pow(v: RationalFunction, k: int) -> RationalFunction:
-        out = RationalFunction.of(1, v.nvars)
-        for _ in range(k):
-            out = out * v
-        return out
 
     def _int(self) -> int:
         self._skip()
@@ -922,7 +697,7 @@ class _Parser:
             raise ValueError(f"expected integer at position {start} in {self.text!r}")
         return int(self.text[start:self.pos])
 
-    def _atom(self) -> RationalFunction:
+    def _atom(self) -> LaurentPolynomial:
         ch = self._peek()
         if ch == "(":
             self.pos += 1
@@ -930,7 +705,7 @@ class _Parser:
             self._expect(")")
             return v
         if ch.isdigit():
-            return RationalFunction.of(self._int(), self.nvars)
+            return LaurentPolynomial.constant(self.nvars, self._int())
         if ch.isalpha():
             start = self.pos
             while self.pos < len(self.text) and (self.text[self.pos].isalnum() or self.text[self.pos] == "_"):
@@ -938,10 +713,10 @@ class _Parser:
             name = self.text[start:self.pos]
             if name not in self.names:
                 raise ValueError(f"unknown variable {name!r}")
-            return RationalFunction(LaurentPolynomial.variable(self.nvars, self.names[name] + 1))
+            return LaurentPolynomial.variable(self.nvars, self.names[name] + 1)
         raise ValueError(f"unexpected character {ch!r} at position {self.pos} in {self.text!r}")
 
 
-def parse_rational(text: str, names: list[str]) -> RationalFunction:
-    """Parse the stable text grammar back into a rational function."""
+def parse_laurent(text: str, names: list[str]) -> LaurentPolynomial:
+    """Parse the stable text grammar back into a Laurent polynomial."""
     return _Parser(text, names).parse()

@@ -14,7 +14,7 @@ import argparse
 import json
 import sys
 
-from .algebra import _grlex_key, render_laurent, render_rational, t_elem
+from .algebra import _grlex_key, render_laurent, t_elem
 from .ktheory import (
     bundle_class,
     bundle_quotient_class,
@@ -312,7 +312,7 @@ def _cmd_gw(args, parser):
     payload = {
         "config": _config(args, space, type=args.type, sigma=args.sigma,
                           w=list(w), d=list(d), L=args.L),
-        "value": render_rational(value),
+        "value": render_laurent(value),
     }
     if conditional:
         payload["conditional"] = True
@@ -361,6 +361,8 @@ def _cmd_verify_classical(args, parser):
 
 
 def _incidence_space(args, parser) -> FlagSpace:
+    if args.n < 3:
+        parser.error("the incidence variety needs n >= 3")
     space = _get_space(args, parser)
     if not space.is_incidence:
         parser.error("this check needs the incidence variety; "

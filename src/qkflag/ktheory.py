@@ -18,13 +18,11 @@ op_i move the Schubert basis along right multiplication by s_i; the test
 suite pins both facts exhaustively for small n.
 """
 
-import warnings
 from dataclasses import dataclass
 from functools import lru_cache
 
 from .algebra import (
     LaurentPolynomial,
-    RationalFunction,
     divexact,
     elem_sym,
 )
@@ -299,13 +297,13 @@ def _euler_data(space: FlagSpace):
     return tuple(rows), factors
 
 
-def euler_char(sigma: KClass) -> RationalFunction:
+def euler_char(sigma: KClass) -> LaurentPolynomial:
     """Equivariant Euler characteristic, an element of K_T(pt).
 
     The localization sum is divided by the tangent factors T_a - T_b one at
-    a time in the Laurent ring.  Classes of genuine sheaves give a Laurent
-    polynomial; a factor that does not divide is kept as a denominator,
-    reported as a RuntimeWarning, and the RationalFunction is returned.
+    a time in the Laurent ring.  Every class in K_T(G/P) gives a Laurent
+    polynomial; a factor that does not divide means the class is not one,
+    and it is refused with ValueError.
     """
     rows, factors = _euler_data(sigma.space)
     n = sigma.space.n
@@ -316,16 +314,13 @@ def euler_char(sigma: KClass) -> RationalFunction:
         if sign < 0:
             term = -term
         num = num + term.shift(mexp)
-    remaining = LaurentPolynomial.one(n)
     for f in factors:
         try:
             num = divexact(num, f)
         except ValueError:
-            remaining = remaining * f
-    result = RationalFunction(num, remaining)
-    if not result.is_laurent():
-        warnings.warn("euler characteristic has a surviving denominator", RuntimeWarning)
-    return result
+            raise ValueError("the class is not in K_T(G/P): its Euler "
+                             "characteristic is not a Laurent polynomial") from None
+    return num
 
 
 # -- basis expansion --------------------------------------------------------

@@ -20,8 +20,9 @@ Four ideal flavors are supported.
 * ``coulomb``: relations on an auxiliary set of variables coming from the
   critical locus of the gauge-theory superpotential; incidence only.
 
-Scalars throughout are rational functions in the torus weights T1..Tn and
-the quantum parameters q1..qk, in that order.
+Scalars throughout are Laurent polynomials in the torus weights T1..Tn and
+the quantum parameters q1..qk, in that order; the only fractions are powers
+of the units (1 - q_j) that divide a whole presentation polynomial.
 """
 
 from dataclasses import dataclass
@@ -35,12 +36,10 @@ import random
 from .algebra import (
     LaurentPolynomial,
     QSeries,
-    RationalFunction,
     default_names,
     divexact,
     qs_inverse,
     render_laurent,
-    render_rational,
     t_elem,
 )
 from .ktheory import bundle_class, bundle_quotient_class
@@ -98,16 +97,21 @@ def _coeff_names(space: FlagSpace) -> list[str]:
 
 @dataclass(frozen=True)
 class PresPoly:
-    """Sparse polynomial in presentation generators.
+    """Sparse polynomial in presentation generators, over a power of each
+    unit (1 - q_j).
 
     ``terms`` maps exponent tuples over ``names`` to coefficients, which are
-    rational functions in the n torus weights followed by the k quantum
-    parameters.  Exponents are nonnegative; zero coefficients are dropped.
+    Laurent polynomials in the n torus weights followed by the k quantum
+    parameters (an int is promoted).  Exponents are nonnegative; zero
+    coefficients are dropped.  The value is ``terms`` divided by the product
+    of (1 - q_j)^den[j]; ``den`` is lowered while every coefficient is
+    divisible by that unit, so equal values compare equal.
     """
 
     space: FlagSpace
     names: tuple
     terms: dict
+    den: tuple = ()
 
     def __post_init__(self):
         nv = self.space.n + self.space.k
@@ -119,12 +123,28 @@ class PresPoly:
                 raise ValueError("exponent width does not match the layout")
             if any(x < 0 for x in e):
                 raise ValueError("presentation polynomials have no inverses")
-            c = RationalFunction.of(c, nv)
-            if c.nvars != nv:
-                raise ValueError("coefficient lives in the wrong scalar ring")
+            if isinstance(c, int):
+                c = LaurentPolynomial.constant(nv, c)
+            elif not isinstance(c, LaurentPolynomial) or c.nvars != nv:
+                raise ValueError(f"coefficients must be Laurent in {nv} variables")
             if not c.is_zero():
                 clean[e] = c
+        den = list(self.den or (0,) * self.space.k)
+        if len(den) != self.space.k or any(x < 0 for x in den):
+            raise ValueError("den needs a nonnegative power of each (1 - q_j)")
+        if not clean:
+            den = [0] * self.space.k
+        for j in range(self.space.k):
+            if den[j]:
+                unit = _q_unit(self.space, j + 1)
+            while den[j]:
+                try:
+                    clean = {e: divexact(c, unit) for e, c in clean.items()}
+                except ValueError:
+                    break
+                den[j] -= 1
         object.__setattr__(self, "terms", clean)
+        object.__setattr__(self, "den", tuple(den))
 
     def _check(self, other: "PresPoly"):
         if self.space != other.space or self.names != other.names:
@@ -133,18 +153,31 @@ class PresPoly:
     def is_zero(self) -> bool:
         return not self.terms
 
+    def _lifted(self, den: tuple) -> dict:
+        """The terms over the larger power den of the units."""
+        terms = self.terms
+        for j, (have, want) in enumerate(zip(self.den, den)):
+            if want > have:
+                m = _q_unit(self.space, j + 1) ** (want - have)
+                terms = {e: c * m for e, c in terms.items()}
+        return terms
+
     def __add__(self, other):
         if not isinstance(other, PresPoly):
             return NotImplemented
         self._check(other)
-        terms = dict(self.terms)
-        for e, c in other.terms.items():
+        a, b, den = self.terms, other.terms, self.den
+        if self.den != other.den:
+            den = tuple(map(max, self.den, other.den))
+            a, b = self._lifted(den), other._lifted(den)
+        terms = dict(a)
+        for e, c in b.items():
             terms[e] = terms[e] + c if e in terms else c
-        return PresPoly(self.space, self.names, terms)
+        return PresPoly(self.space, self.names, terms, den)
 
     def __neg__(self):
         return PresPoly(self.space, self.names,
-                        {e: -c for e, c in self.terms.items()})
+                        {e: -c for e, c in self.terms.items()}, self.den)
 
     def __sub__(self, other):
         if not isinstance(other, PresPoly):
@@ -152,10 +185,9 @@ class PresPoly:
         return self + (-other)
 
     def __mul__(self, other):
-        if isinstance(other, (int, LaurentPolynomial, RationalFunction)):
-            c = RationalFunction.of(other, self.space.n + self.space.k)
+        if isinstance(other, (int, LaurentPolynomial)):
             return PresPoly(self.space, self.names,
-                            {e: co * c for e, co in self.terms.items()})
+                            {e: co * other for e, co in self.terms.items()}, self.den)
         if not isinstance(other, PresPoly):
             return NotImplemented
         self._check(other)
@@ -165,7 +197,8 @@ class PresPoly:
                 e = tuple(x + y for x, y in zip(e1, e2))
                 c = c1 * c2
                 terms[e] = terms[e] + c if e in terms else c
-        return PresPoly(self.space, self.names, terms)
+        return PresPoly(self.space, self.names, terms,
+                        tuple(map(sum, zip(self.den, other.den))))
 
     __rmul__ = __mul__
 
@@ -202,19 +235,18 @@ def _q_unit(space: FlagSpace, j: int) -> LaurentPolynomial:
     return LaurentPolynomial.one(nv) - LaurentPolynomial.variable(nv, space.n + j)
 
 
+def _over_unit(p: PresPoly, j: int) -> PresPoly:
+    """p / (1 - q_j)."""
+    den = list(p.den)
+    den[j - 1] += 1
+    return PresPoly(p.space, p.names, p.terms, tuple(den))
+
+
 def pres_q0(p: PresPoly) -> PresPoly:
-    """Specialize every quantum parameter to zero."""
-    n, k = p.space.n, p.space.k
-    terms = {}
-    for e, c in p.terms.items():
-        num0 = _laurent_q_zero(c.num, n)
-        den0 = _laurent_q_zero(c.den, n)
-        if den0.is_zero():
-            raise ValueError("coefficient has a pole at q = 0")
-        if num0.is_zero():
-            continue
-        terms[e] = RationalFunction(num0, den0)
-    return PresPoly(p.space, p.names, terms)
+    """Specialize every quantum parameter to zero, where each (1 - q_j) is 1."""
+    n = p.space.n
+    return PresPoly(p.space, p.names,
+                    {e: _laurent_q_zero(c, n) for e, c in p.terms.items()})
 
 
 def _laurent_q_zero(p: LaurentPolynomial, n: int) -> LaurentPolynomial:
@@ -269,33 +301,14 @@ def pres_substitute(p: PresPoly, images: dict) -> PresPoly:
 
 
 def clear_q_units(p: PresPoly) -> PresPoly:
-    """Multiply by the least powers of (1 - q_j) that clear all coefficient
-    denominators of quantum parameters.  Raises if denominators involve q in
-    any other way."""
-    space = p.space
-    out = p
-    for j in range(1, space.k + 1):
-        unit = _q_unit(space, j)
-        power = 0
-        for c in p.terms.values():
-            den, m = c.den, 0
-            while True:
-                try:
-                    den = divexact(den, unit)
-                except (ValueError, ArithmeticError):
-                    break
-                m += 1
-            power = max(power, m)
-        for _ in range(power):
-            out = out * RationalFunction.of(unit, space.n + space.k)
-    for c in out.terms.values():
-        if set(_split_q(c.den, space.n, space.k)) != {(0,) * space.k}:
-            raise ValueError("denominator is not a product of (1 - q_j) factors")
-    return out
+    """Multiply by the least powers of (1 - q_j) that leave a polynomial:
+    the numerator over ``den``."""
+    return PresPoly(p.space, p.names, p.terms)
 
 
 def render_pres(p: PresPoly) -> str:
-    """Stable text form: monomials in decreasing graded order."""
+    """Stable text form: monomials in decreasing graded order, the whole
+    over the expanded power of the units when ``den`` is nonzero."""
     if not p.terms:
         return "0"
     cnames = _coeff_names(p.space)
@@ -304,14 +317,20 @@ def render_pres(p: PresPoly) -> str:
         c = p.terms[e]
         mono = "*".join(nm if x == 1 else f"{nm}^{x}"
                         for nm, x in zip(p.names, e) if x)
-        cs = render_rational(c, cnames)
+        cs = render_laurent(c, cnames)
         if not mono:
             pieces.append(cs if _is_bare(cs) else f"({cs})")
         elif c.is_one():
             pieces.append(mono)
         else:
             pieces.append(f"({cs})*{mono}")
-    return " + ".join(pieces)
+    out = " + ".join(pieces)
+    if not any(p.den):
+        return out
+    den = LaurentPolynomial.one(p.space.n + p.space.k)
+    for j, power in enumerate(p.den):
+        den = den * _q_unit(p.space, j + 1) ** power
+    return f"({out})/({render_laurent(den, cnames)})"
 
 
 def _is_bare(s: str) -> bool:
@@ -388,15 +407,14 @@ def _classical_generators(space: FlagSpace) -> list:
 
 def _incidence_series_generators(space: FlagSpace) -> list:
     n = space.n
-    nv = n + space.k
     x1 = pres_var(space, "eX1_1")
-    qq1 = RationalFunction(LaurentPolynomial.variable(nv, n + 1), _q_unit(space, 1))
-    qq2 = RationalFunction(LaurentPolynomial.variable(nv, n + 2), _q_unit(space, 2))
+    q1 = pres_q(space, 1)
+    q2 = pres_q(space, 2)
     gens = []
     for m in range(1, n):
         g = _yvar(space, 1, m) + x1 * _yvar(space, 1, m - 1) - _xvar(space, 2, m)
         if m == n - 1:
-            g = g + _yvar(space, 1, n - 2) * x1 * qq1
+            g = g + _over_unit(_yvar(space, 1, n - 2) * x1 * q1, 1)
         gens.append(g)
     c = pres_var(space, "eY2_1")
     for m in range(1, n + 1):
@@ -407,7 +425,7 @@ def _incidence_series_generators(space: FlagSpace) -> list:
             inner = inner - pres_one(space)
         if m == 2:
             inner = inner - x1
-        gens.append(g + c * inner * qq2)
+        gens.append(g + _over_unit(c * inner * q2, 2))
     return gens
 
 
@@ -659,7 +677,7 @@ def groebner_dimension(spec: IdealSpec, seeds: tuple = (0, 1),
         raise ValueError("empty ideal")
     n, k = spec.space.n, spec.space.k
     q0 = (0,) * k
-    gens0 = [{e: _split_q(c.as_laurent(), n, k)[q0] for e, c in pres_q0(g).terms.items()}
+    gens0 = [{e: _split_q(c, n, k)[q0] for e, c in pres_q0(g).terms.items()}
              for g in spec.generators]
     nv = len(spec.generators[0].names)
     counts = []
@@ -682,9 +700,11 @@ def _gb_from_pres(p: PresPoly) -> dict:
     quantum parameters become honest polynomial variables and the torus
     weights stay in Laurent coefficients, which the Groebner engine divides
     exactly.  Clear the (1 - q_j) denominators first (``ValueError``)."""
+    if any(p.den):
+        raise ValueError("clear the (1 - q_j) denominators first")
     n, k = p.space.n, p.space.k
     return {e + qe: part for e, c in p.terms.items()
-            for qe, part in _split_q(c.as_laurent(), n, k).items()}
+            for qe, part in _split_q(c, n, k).items()}
 
 
 def _render_member(p: dict, names: list, n: int) -> str:
@@ -718,15 +738,13 @@ def coulomb_equivalence(space: FlagSpace, negative_control: bool = False) -> dic
     nv = n + k
     coul = ideal_generators(space, "coulomb")
     target = ideal_generators(space, "quantum-polynomial")
-    inv1 = RationalFunction(LaurentPolynomial.one(nv), _q_unit(space, 1))
-    inv2 = RationalFunction(LaurentPolynomial.one(nv), _q_unit(space, 2))
     images = {nm: pres_var(space, nm) for nm in pres_names(space)}
     for ell in range(1, n - 1):
         img = pres_var(space, f"eY1_{ell}")
         if ell == n - 2 and not negative_control:
-            img = img * inv1
+            img = _over_unit(img, 1)
         images[f"eXbar1_{ell}"] = img
-    images["Xbar2_1"] = pres_var(space, "eY2_1") * inv2
+    images["Xbar2_1"] = _over_unit(pres_var(space, "eY2_1"), 2)
     basis = _buchberger([_gb_from_pres(t) for t in target.generators])
     names = list(pres_names(space)) + [f"q{j}" for j in range(1, k + 1)]
     witnesses = []
@@ -755,14 +773,6 @@ def coulomb_equivalence(space: FlagSpace, negative_control: bool = False) -> dic
 
 
 # -- evaluation into the localization model ----------------------------------
-
-def _series_of_coeff(c: RationalFunction, space: FlagSpace, bound: int) -> QSeries:
-    # a coefficient's (1 - q_j) denominators expand as geometric series
-    n, k = space.n, space.k
-    num = QSeries(k, n, bound, _split_q(c.num, n, k))
-    den = QSeries(k, n, bound, _split_q(c.den, n, k))
-    return num * qs_inverse(den)
-
 
 def psi_evaluate(gen: PresPoly, bound: int) -> QKElement:
     """Image of a presentation polynomial in the truncated quantum K ring.
@@ -818,6 +828,7 @@ def psi_evaluate(gen: PresPoly, bound: int) -> QKElement:
         return bundle_quotient_class(space, int(j), int(ell))
 
     total = QKElement(space, bound, {})
+    k = space.k
     idx = {nm: i for i, nm in enumerate(gen.names)}
     for e, c in gen.terms.items():
         plains = []
@@ -838,5 +849,9 @@ def psi_evaluate(gen: PresPoly, bound: int) -> QKElement:
             el = embed_classical(bundle_class(space, 1, 0), bound)
         for kind in ops:
             el = apply_op(kind, el)
-        total = total + el * _series_of_coeff(c, space, bound)
+        total = total + el * QSeries(k, n, bound, _split_q(c, n, k))
+    # the (1 - q_j) denominators expand as geometric series
+    for j, power in enumerate(gen.den):
+        for _ in range(power):
+            total = total * qs_inverse(unit_series(j + 1))
     return total

@@ -34,7 +34,7 @@ from functools import lru_cache
 from itertools import product as iter_product
 from operator import le, sub
 
-from .algebra import LaurentPolynomial, QSeries, RationalFunction, _grlex_key, t_elem
+from .algebra import LaurentPolynomial, QSeries, _grlex_key, t_elem
 from .curves import curve_neighborhood_schubert
 from .ktheory import (
     KClass,
@@ -74,7 +74,7 @@ def degree_box(k: int, bound: int) -> list[Degree]:
 # -- invariants -------------------------------------------------------------
 
 
-def gw2(sigma: KClass, w: Perm, d: Degree) -> RationalFunction:
+def gw2(sigma: KClass, w: Perm, d: Degree) -> LaurentPolynomial:
     """Two-point invariant of sigma against the Schubert class of w, by one
     euler_char call; _pairing_vector serves a whole table."""
     space = sigma.space
@@ -141,12 +141,12 @@ def _vanishes(d: Degree, j: int, dropped: bool) -> bool:
 
 
 def _divisor_char(oracle: GWOracle, j: int, sigma: KClass, w: Perm,
-                  d: Degree) -> RationalFunction:
+                  d: Degree) -> LaurentPolynomial:
     space = oracle.space
     _check_licence(oracle, j)
     d = _check_effective(space, d)
     if _vanishes(d, j, j in oracle.drop_vanishing):
-        return RationalFunction.of(0, space.n)
+        return LaurentPolynomial.zero(space.n)
     g = curve_neighborhood_schubert(space, w, d)
     return euler_char(det_class(space, j) * sigma * schubert_class(space, g, "B"))
 
@@ -186,12 +186,12 @@ def _parse_line_arg(oracle: GWOracle, L):
 
 
 def gw3_divisor(oracle: GWOracle, L, sigma: KClass, w: Perm,
-                d: Degree) -> RationalFunction:
+                d: Degree) -> LaurentPolynomial:
     """Three-point invariant whose first argument is a supported line bundle."""
     if sigma.space != oracle.space:
         raise ValueError("class and oracle live on different spaces")
     c0, c1, j = _parse_line_arg(oracle, L)
-    out = RationalFunction.of(0, oracle.space.n)
+    out = LaurentPolynomial.zero(oracle.space.n)
     if not c0.is_zero():
         out = out + c0 * gw2(sigma, w, d)
     if not c1.is_zero():

@@ -256,7 +256,19 @@ def test_groebner_verify_digests(capsys, command, digest):
      "8c365231b5f3465b4e53b712c2b83f67f5a358643218b8c3ba47b469158b9fd8"),
     ("gw --n 4 --ranks 1,3 --type 3pt --L opposite2 --sigma wedge1S2 --w 1234 --d 0,1",
      "b3dea41c2020cf6a505720e2c656810b805e542333d8c7af2c091b5ed4ac2b54"),
-], ids=["schubert-opposite", "grassmannian-product", "opposite-product", "opposite-gw"])
+    # invariants, rendered from Laurent Euler characteristics
+    ("gw --n 4 --ranks 2 --type 3pt --L opposite1 --sigma wedge1S1 --w 1324 --d 0",
+     "24bd5bf14aa1664745c2a84fb4b4d3d5c7c354373140771703f72cf1814ccf8f"),
+    ("gw --n 4 --ranks 2 --type 2pt --sigma wedge2Q1 --w 1324 --d 1",
+     "bccd23b82492012f417bb69862805fa5b129268de95dcc23af89d83f5fd88d52"),
+    ("gw --n 4 --type 3pt --L detS2 --sigma wedge2S3 --w 2143 --d 1,0,0 --conditional",
+     "d23b011631e00f0a57153f0165c279bab0f7d54e722f5a3bfa2f5a2f962d9502"),
+    # the (1 - q_j) denominators through psi at truncation 2
+    ("verify presentation --n 4 --ranks 1,3 --qdeg 2",
+     "4a11b49c5c07ecc95ec7ca16cba71e4189a8399ffd93673cc7078fa6a36a4566"),
+], ids=["schubert-opposite", "grassmannian-product", "opposite-product", "opposite-gw",
+        "opposite-gw-grassmannian", "gw2-grassmannian", "conditional-gw",
+        "presentation-qdeg2"])
 def test_rendered_value_digests(capsys, command, digest):
     code, out, _ = run(capsys, *command.split())
     assert code == 0
@@ -344,6 +356,12 @@ def test_no_oracle_space_rejected(capsys):
 
 # -- usage errors ------------------------------------------------------------
 
+NO_INCIDENCE_VARIETY = [
+    ("verify", "incidence", "--n", "2"),
+    ("verify", "presentation", "--n", "2"),
+]
+
+
 @pytest.mark.parametrize("argv", [
     ("verify", "classical", "--n", "2", "--ranks", "5"),
     ("schubert", "--n", "3", "--w", "212"),
@@ -391,12 +409,16 @@ def test_no_oracle_space_rejected(capsys):
      "--w", "123", "--d", "0,1", "--conditional"),
     # --ranks is comma-separated: 13 is the single rank thirteen
     ("table", "--n", "4", "--ranks", "13", "--qdeg", "0"),
+    *NO_INCIDENCE_VARIETY,
 ])
 def test_usage_errors_exit_2(capsys, argv):
     code, out, err = run(capsys, *argv)
     assert code == 2
     assert out == ""
     assert err.strip()
+    if argv in NO_INCIDENCE_VARIETY:
+        # no ranks make Fl(1, n-1; n) for n = 2, so no --ranks hint helps
+        assert "the incidence variety needs n >= 3" in err
 
 
 def test_internal_error_exits_4(capsys, monkeypatch):
@@ -449,6 +471,18 @@ def test_library_has_no_assert_statements():
     found = [f"{path.name}:{node.lineno}" for path in sorted(src.glob("*.py"))
              for node in ast.walk(ast.parse(path.read_text()))
              if isinstance(node, ast.Assert)]
+    assert found == []
+
+
+def test_library_imports_no_sympy():
+    # the kernel is self-contained: no module of the library imports sympy
+    src = pathlib.Path(qkflag.qk.__file__).parent
+    found = [f"{path.name}:{node.lineno}" for path in sorted(src.glob("*.py"))
+             for node in ast.walk(ast.parse(path.read_text()))
+             if isinstance(node, ast.Import)
+             and any(a.name.split(".")[0] == "sympy" for a in node.names)
+             or isinstance(node, ast.ImportFrom)
+             and (node.module or "").split(".")[0] == "sympy"]
     assert found == []
 
 

@@ -3,6 +3,7 @@ critical-locus comparison, and evaluation into the localization model."""
 
 import hashlib
 import json
+from fractions import Fraction
 
 import pytest
 
@@ -12,7 +13,6 @@ from qkflag import (
     LaurentPolynomial,
     PresPoly,
     QSeries,
-    RationalFunction,
     clear_q_units,
     coulomb_equivalence,
     det_class,
@@ -32,7 +32,7 @@ from qkflag import (
     render_pres,
 )
 from qkflag import presentation
-from qkflag.algebra import elem_sym
+from qkflag.algebra import elem_sym, render_qseries
 from qkflag.cli import dispatch
 
 INC3 = FlagSpace(3, (1, 2))
@@ -92,9 +92,17 @@ def test_clear_q_units_multiplies_through():
     one = LaurentPolynomial.one(nv)
     x = pres_var(INC3, "eX1_1")
     y = pres_var(INC3, "eY1_1")
-    p = x * RationalFunction(one, (one - q1) * (one - q1)) \
-        + y * RationalFunction(one, one - q2)
+    p = presentation._over_unit(presentation._over_unit(x, 1), 1) \
+        + presentation._over_unit(y, 2)
+    assert p.den == (2, 1)
     assert clear_q_units(p) == x * (one - q2) + y * ((one - q1) * (one - q1))
+    # the whole numerator over the expanded power of the units
+    assert render_pres(p) == ("((-q2 + 1)*eX1_1 + (q1^2 - 2*q1 + 1)*eY1_1)"
+                              "/(-q1^2*q2 + q1^2 + 2*q1*q2 - 2*q1 - q2 + 1)")
+    # multiplying by a unit lowers den instead of keeping a common factor
+    lowered = p * (one - q2)
+    assert lowered.den == (2, 0)
+    assert lowered == presentation._over_unit(presentation._over_unit(x * (one - q2), 1), 1) + y
 
 
 def test_generator_counts():
@@ -178,6 +186,35 @@ def test_render_is_stable():
     assert render_pres(pres_zero(INC3)) == "0"
 
 
+def test_generator_texts_pinned():
+    # every generator of every flavor on Fl(1,n-1;n), n = 3, 4, 5, with its
+    # (1 - q_j) denominators cleared and at q = 0
+    h = hashlib.sha256()
+    for n in (3, 4, 5):
+        space = FlagSpace(n, (1, n - 1))
+        for flavor in presentation.FLAVORS:
+            for i, g in enumerate(ideal_generators(space, flavor).generators):
+                h.update(f"{n} {flavor} {i} {render_pres(clear_q_units(g))} | "
+                         f"{render_pres(pres_q0(g))}\n".encode())
+    assert h.hexdigest() == \
+        "b97808ecc08c00e5dd4dd95c759cd3aca929a6071e45a88e4829e61c2869a0fb"
+
+
+def test_psi_images_pinned():
+    # g + eX1_1 is not in the ideal, so its image is a nonzero class whose
+    # q-series carry the geometric expansion of the (1 - q_j) denominators
+    h = hashlib.sha256()
+    for n in (3, 4):
+        space = FlagSpace(n, (1, n - 1))
+        for flavor in ("quantum-power-series", "quantum-polynomial"):
+            for i, g in enumerate(ideal_generators(space, flavor).generators):
+                el = psi_evaluate(g + pres_var(space, "eX1_1"), 2)
+                for w in min_coset_reps(space):
+                    h.update(f"{n} {flavor} {i} {w} {render_qseries(el.at(w))}\n".encode())
+    assert h.hexdigest() == \
+        "860b08037b319ed01a59d3669c83e32f3b41c63fe66d07608f79abb4b8ca401e"
+
+
 def test_quotient_dimension_counts_fixed_points():
     for space in (INC3, GR13, INC4, GR24):
         spec = ideal_generators(space, "classical")
@@ -196,16 +233,13 @@ def test_exact_dimension_mode():
                               exact=True) == 6
     assert groebner_dimension(ideal_generators(INC4, "classical"),
                               exact=True) == 12
-    # the engine runs over Laurent coefficients, so a q = 0 coefficient that
-    # is a genuine fraction is refused in either mode
-    gens = ideal_generators(INC3, "classical").generators
-    nv = INC3.n + INC3.k
-    frac = RationalFunction(LaurentPolynomial.one(nv),
-                            LaurentPolynomial.variable(nv, 1) + 1)
-    spec = IdealSpec("classical", INC3, (gens[0] * frac,) + gens[1:])
-    for exact in (False, True):
-        with pytest.raises(ValueError, match="denominator"):
-            groebner_dimension(spec, exact=exact)
+    # the engine runs over Laurent coefficients, and a presentation
+    # polynomial holds nothing else: a fraction, or a Laurent polynomial in
+    # the torus weights alone, is refused as a coefficient
+    g = ideal_generators(INC3, "classical").generators[0]
+    for c in (Fraction(1, 2), LaurentPolynomial.one(INC3.n)):
+        with pytest.raises(ValueError, match="Laurent"):
+            PresPoly(INC3, g.names, {e: c for e in g.terms})
 
 
 @pytest.mark.parametrize("space, flavor, dim", [
@@ -229,7 +263,7 @@ def test_exact_dimension_matches_seeded(space, flavor, dim):
 def _seeded_classical(space):
     tvals = presentation._seed_values(0, space.n)
     return [{e: v for e, c in g.terms.items()
-             if (v := presentation._eval_laurent(c.as_laurent(), tvals)) != 0}
+             if (v := presentation._eval_laurent(c, tvals)) != 0}
             for g in ideal_generators(space, "classical").generators]
 
 
