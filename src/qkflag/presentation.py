@@ -279,7 +279,8 @@ def pres_substitute(p: PresPoly, images: dict) -> PresPoly:
     """Evaluate p on images of its generators.
 
     All images must share one target layout; every generator occurring in p
-    needs an image.  Coefficients carry over unchanged.
+    needs an image.  Coefficients and the power ``den`` of the units carry
+    over unchanged.
     """
     if not images:
         raise ValueError("no images given")
@@ -297,6 +298,8 @@ def pres_substitute(p: PresPoly, images: dict) -> PresPoly:
             for _ in range(expo):
                 term = term * images[name]
         out = out + term
+    if any(p.den):
+        out = out * PresPoly(model.space, model.names, {(0,) * width: 1}, p.den)
     return out
 
 

@@ -81,8 +81,13 @@ def test_substitution_engine():
     p = x * x + y
     images = {nm: pres_var(INC3, nm) for nm in pres_names(INC3)}
     assert pres_substitute(p, images) == p
+    # the power of the units carries over with the coefficients
+    q = presentation._over_unit(x, 1) + y
+    assert pres_substitute(q, images) == q
     images["eX1_1"] = x + pres_one(INC3)
     assert pres_substitute(p, images) == x * x + 2 * x + pres_one(INC3) + y
+    assert pres_substitute(q, images) == \
+        presentation._over_unit(x + pres_one(INC3), 1) + y
 
 
 def test_clear_q_units_multiplies_through():
