@@ -360,11 +360,14 @@ def pairings(sigma: KClass) -> dict:
     when v <= g in Bruhat order and 0 otherwise.  So the pairing with O_g
     is the sum of sigma's O^v coordinates over v <= g, read over the
     space's cached lower intervals, and one expansion gives every pairing.
+    The zero class pairs to zero without building a Schubert class.
     """
     space = sigma.space
+    zero = LaurentPolynomial.zero(space.n)
+    if sigma.is_zero():
+        return dict.fromkeys(min_coset_reps(space), zero)
     found = {v: a for v, a in expand_schubert(sigma, "B-").items() if not a.is_zero()}
     below = _bruhat_below(space)
-    zero = LaurentPolynomial.zero(space.n)
     return {g: sum((found[v] for v in (*below[g], g) if v in found), zero)
             for g in min_coset_reps(space)}
 

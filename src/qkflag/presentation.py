@@ -316,7 +316,7 @@ def render_pres(p: PresPoly) -> str:
         return "0"
     cnames = _coeff_names(p.space)
     pieces = []
-    for e in sorted(p.terms, key=_grevlex_key, reverse=True):
+    for e in sorted(p.terms, key=lambda e: (sum(e), [-x for x in e[::-1]]), reverse=True):
         c = p.terms[e]
         mono = "*".join(nm if x == 1 else f"{nm}^{x}"
                         for nm, x in zip(p.names, e) if x)
@@ -484,13 +484,22 @@ def _coulomb_generators(space: FlagSpace) -> list:
 
 # -- Groebner engine ---------------------------------------------------------
 #
-# Polynomials are dicts from exponent tuples to nonzero coefficients: Fraction
+# Polynomials are dicts from packed monomials to nonzero coefficients: Fraction
 # (seeded dimensions) or LaurentPolynomial in the torus weights (exact
 # dimensions, Coulomb membership).  Graded reverse lexicographic order
 # throughout.  Basis elements are kept monic: _monic is the one place that
 # divides by a leading coefficient, so reduction and S-polynomials only
 # multiply and subtract.  Laurent division must be exact, which keeps every
 # value equal to its fraction-field counterpart; otherwise RuntimeError.
+#
+# A monomial in nv variables is one integer (Bachmann and Schoenemann 1998):
+# variable i fills bits 16i .. 16i + 14, and bit 16i + 15 is its guard.  A
+# product is one addition, and a divides b iff (b - a) & guards == 0, since an
+# entry of b - a that goes negative borrows into its own guard bit.  The degree
+# is m mod (2^16 - 1), and (degree << 16nv) - m is the grevlex key, the last
+# variable in the top field.  Grevlex is degree-compatible, so a degree below
+# 2^15 bounds every term that reduction and S-polynomials form; _monomial and
+# _lcm raise OverflowError at that bound, and no field reaches its guard.
 #
 # Buchberger's algorithm runs in the Gebauer-Moeller installation of his
 # criteria (Gebauer and Moeller 1988, as in Becker and Weispfenning's UPDATE):
@@ -500,32 +509,44 @@ def _coulomb_generators(space: FlagSpace) -> list:
 # by their lcm, smallest first (the normal strategy).  S-polynomials reduce
 # against the current set, the elements whose leading term no later element
 # divides, and the result is a minimal basis: no leading term divides another.
+# Standard monomials are counted over the staircase of the leading terms.
+
+_FIELD = 16
+_FMASK = (1 << _FIELD) - 1
+_LIMIT = 1 << (_FIELD - 1)   # total degrees lie in [0, _LIMIT)
+
+
+def _monomial(e: tuple) -> int:
+    if sum(e) >= _LIMIT:
+        raise OverflowError("a Groebner monomial reaches its guard bit")
+    return sum(x << (_FIELD * i) for i, x in enumerate(e))
+
 
 class _GrevlexKeys(dict):
-    """Grevlex sort keys by exponent tuple, each computed on first use; the
-    table keeps one entry per distinct monomial for the life of the process
-    (661 after the Coulomb checks on Fl(1,2;3) and Fl(1,3;4))."""
+    """Grevlex keys of monomials in nv variables, kept once computed."""
 
-    def __missing__(self, e: tuple) -> tuple:
-        key = self[e] = (sum(e), tuple(-x for x in reversed(e)))
+    def __init__(self, nv: int):
+        self.shift = _FIELD * nv
+
+    def __missing__(self, m: int) -> int:
+        key = self[m] = ((m % _FMASK) << self.shift) - m
         return key
 
 
-# a plain bound method, so max and sorted look keys up without a Python frame
-_grevlex_key = _GrevlexKeys().__getitem__
+@lru_cache(maxsize=None)
+def _layout(nv: int) -> tuple:
+    """(guard bits, grevlex key) in nv variables; the key is a bound method, so
+    max and sorted look keys up without a Python frame."""
+    return _LIMIT * (((1 << (_FIELD * nv)) - 1) // _FMASK), _GrevlexKeys(nv).__getitem__
 
 
-def _divides(a: tuple, b: tuple) -> bool:
-    return all(x <= y for x, y in zip(a, b))
+def _divides(a: int, b: int, guards: int) -> bool:
+    return not (b - a) & guards
 
 
-def _lt(p: dict) -> tuple:
-    return max(p, key=_grevlex_key)
-
-
-def _monic(p: dict) -> tuple:
-    """The basis element (leading exponent, p / leading coefficient)."""
-    lead = _lt(p)
+def _monic(p: dict, nv: int) -> tuple:
+    """The basis element (leading monomial, p / leading coefficient)."""
+    lead = max(p, key=_layout(nv)[1])
     c = p[lead]
     try:
         return lead, {e: x / c for e, x in p.items()}
@@ -534,25 +555,27 @@ def _monic(p: dict) -> tuple:
                            "its polynomial in the Laurent ring") from None
 
 
-def _reduce_full(p: dict, basis: list) -> dict:
+def _reduce_full(p: dict, basis: list, nv: int) -> dict:
     """Remainder of p on full division by the monic basis, largest first."""
+    guards, key = _layout(nv)
     work = dict(p)
     out = {}
     while work:
-        lead = max(work, key=_grevlex_key)
+        lead = max(work, key=key)
         c = work.pop(lead)
-        hit = next((b for b in basis if _divides(b[0], lead)), None)
-        if hit is None:
+        for blt, bterms in basis:
+            if not (lead - blt) & guards:
+                break
+        else:
             out[lead] = c
             continue
-        blt, bterms = hit
-        shift = tuple(x - y for x, y in zip(lead, blt))
+        shift, c = lead - blt, -c
         for be, bc in bterms.items():
             if be == blt:
                 continue
-            ke = tuple(x + y for x, y in zip(be, shift))
+            ke = be + shift
             prev = work.get(ke)
-            nc = -(c * bc) if prev is None else prev - c * bc
+            nc = c * bc if prev is None else prev + c * bc
             if nc == 0:
                 work.pop(ke, None)
             else:
@@ -560,18 +583,21 @@ def _reduce_full(p: dict, basis: list) -> dict:
     return out
 
 
-def _lcm(a: tuple, b: tuple) -> tuple:
-    return tuple(max(x, y) for x, y in zip(a, b))
+def _lcm(a: int, b: int) -> int:
+    m = sum(max((a >> pos) & _FMASK, (b >> pos) & _FMASK) << pos
+            for pos in range(0, max(a, b).bit_length(), _FIELD))
+    if m % _FMASK >= _LIMIT:    # the sum of two degrees stays below 2^16 - 1
+        raise OverflowError("a Groebner monomial reaches its guard bit")
+    return m
 
 
 def _spoly(a: tuple, b: tuple) -> dict:
     (alt, aterms), (blt, bterms) = a, b
     lcm = _lcm(alt, blt)
-    fa = tuple(x - y for x, y in zip(lcm, alt))
-    fb = tuple(x - y for x, y in zip(lcm, blt))
-    out = {tuple(x + y for x, y in zip(e, fa)): c for e, c in aterms.items()}
+    fa, fb = lcm - alt, lcm - blt
+    out = {e + fa: c for e, c in aterms.items()}
     for e, c in bterms.items():
-        ke = tuple(x + y for x, y in zip(e, fb))
+        ke = e + fb
         prev = out.get(ke)
         nc = -c if prev is None else prev - c
         if nc == 0:
@@ -581,8 +607,9 @@ def _spoly(a: tuple, b: tuple) -> dict:
     return out
 
 
-def _buchberger(gens: list) -> list:
+def _buchberger(gens: list, nv: int) -> list:
     """Minimal monic Groebner basis of the ideal the given polynomials generate."""
+    guards, key = _layout(nv)
     basis = []      # every element ever added
     current = []    # indices of the elements no later leading term divides
     pending = {}    # pair number -> (i, j, lcm of their leading terms)
@@ -595,17 +622,17 @@ def _buchberger(gens: list) -> list:
         for g in current:
             glt = basis[g][0]
             lcm = _lcm(hlt, glt)
-            new.append((g, lcm, lcm == tuple(x + y for x, y in zip(hlt, glt))))
+            new.append((g, lcm, lcm == hlt + glt))
         # chain criterion among the new pairs; coprime pairs still eliminate
         # others before the product criterion drops them
         kept = []
         for pos, (g, lcm, coprime) in enumerate(new):
-            if coprime or not any(_divides(other[1], lcm)
+            if coprime or not any(_divides(other[1], lcm, guards)
                                   for other in new[pos + 1:] + kept):
                 kept.append((g, lcm, coprime))
         # chain criterion on the pending pairs, through h
         for number, (i, j, lcm) in list(pending.items()):
-            if (_divides(hlt, lcm) and _lcm(basis[i][0], hlt) != lcm
+            if (_divides(hlt, lcm, guards) and _lcm(basis[i][0], hlt) != lcm
                     and _lcm(basis[j][0], hlt) != lcm):
                 del pending[number]
         k = len(basis)
@@ -614,38 +641,40 @@ def _buchberger(gens: list) -> list:
             if not coprime:
                 number = next(numbers)
                 pending[number] = (g, k, lcm)
-                heapq.heappush(heap, (_grevlex_key(lcm), number))
-        current[:] = [g for g in current if not _divides(hlt, basis[g][0])] + [k]
+                heapq.heappush(heap, (key(lcm), number))
+        current[:] = [g for g in current if not _divides(hlt, basis[g][0], guards)] + [k]
 
     for g in gens:
         if g:
-            update(_monic(g))
+            update(_monic(g, nv))
     while heap:
         number = heapq.heappop(heap)[1]
         if number in pending:
             i, j, _ = pending.pop(number)
-            r = _reduce_full(_spoly(basis[i], basis[j]), [basis[g] for g in current])
+            r = _reduce_full(_spoly(basis[i], basis[j]), [basis[g] for g in current], nv)
             if r:
-                update(_monic(r))
+                update(_monic(r, nv))
     return [basis[g] for g in current
-            if not any(o != g and _divides(basis[o][0], basis[g][0]) for o in current)]
+            if not any(o != g and _divides(basis[o][0], basis[g][0], guards) for o in current)]
 
 
-def _quotient_dimension(basis: list, nv: int):
-    """Number of standard monomials, or None if not zero-dimensional."""
-    lts = [blt for blt, _ in basis]
-    bounds = []
-    for v in range(nv):
-        pure = [e[v] for e in lts
-                if e[v] > 0 and all(x == 0 for i, x in enumerate(e) if i != v)]
-        if not pure:
-            return None
-        bounds.append(min(pure))
-    count = 0
-    for pt in iproduct(*(range(b) for b in bounds)):
-        if not any(_divides(l, pt) for l in lts):
-            count += 1
-    return count
+def _quotient_dimension(lts: set, nv: int):
+    """The number of monomials in nv variables that no element of lts divides,
+    None if it is infinite; each power a of the last variable adds the count in
+    the others for the lts whose last entry is at most a, once per stretch."""
+    if nv == 0:
+        return 0 if lts else 1
+    low = _FIELD * (nv - 1)
+    rest = (1 << low) - 1
+    pure = [m >> low for m in lts if m and not m & rest]
+    if not pure:
+        return None
+    cuts = sorted({m >> low for m in lts if m >> low < min(pure)} | {0}) + [min(pure)]
+    counts = [_quotient_dimension({m & rest for m in lts if m >> low <= a}, nv - 1)
+              for a in cuts[:-1]]
+    if None in counts:
+        return None
+    return sum((hi - lo) * c for lo, hi, c in zip(cuts, cuts[1:], counts))
 
 
 # -- dimension of the quotient at q = 0 --------------------------------------
@@ -680,14 +709,14 @@ def groebner_dimension(spec: IdealSpec, seeds: tuple = (0, 1),
         raise ValueError("empty ideal")
     n, k = spec.space.n, spec.space.k
     q0 = (0,) * k
-    gens0 = [{e: _split_q(c, n, k)[q0] for e, c in pres_q0(g).terms.items()}
+    gens0 = [{_monomial(e): _split_q(c, n, k)[q0] for e, c in pres_q0(g).terms.items()}
              for g in spec.generators]
     nv = len(spec.generators[0].names)
     counts = []
     for tvals in [None] if exact else [_seed_values(seed, n) for seed in seeds]:
         polys = gens0 if tvals is None else [
             {e: v for e, c in g.items() if (v := _eval_laurent(c, tvals)) != 0} for g in gens0]
-        d = _quotient_dimension(_buchberger(polys), nv)
+        d = _quotient_dimension({lt for lt, _ in _buchberger(polys, nv)}, nv)
         if d is None:
             raise RuntimeError("quotient at q = 0 is not zero-dimensional")
         counts.append(d)
@@ -706,17 +735,17 @@ def _gb_from_pres(p: PresPoly) -> dict:
     if any(p.den):
         raise ValueError("clear the (1 - q_j) denominators first")
     n, k = p.space.n, p.space.k
-    return {e + qe: part for e, c in p.terms.items()
+    return {_monomial(e + qe): part for e, c in p.terms.items()
             for qe, part in _split_q(c, n, k).items()}
 
 
 def _render_member(p: dict, names: list, n: int) -> str:
     tnames = default_names(n)
     pieces = []
-    for e in sorted(p, key=_grevlex_key, reverse=True):
-        mono = "*".join(nm if x == 1 else f"{nm}^{x}"
-                        for nm, x in zip(names, e) if x)
-        cs = render_laurent(p[e], tnames)
+    for m in sorted(p, key=_layout(len(names))[1], reverse=True):
+        e = [(m >> (_FIELD * i)) & _FMASK for i in range(len(names))]
+        mono = "*".join(nm if x == 1 else f"{nm}^{x}" for nm, x in zip(names, e) if x)
+        cs = render_laurent(p[m], tnames)
         pieces.append(f"({cs})*{mono}" if mono else f"({cs})")
     return " + ".join(pieces) if pieces else "0"
 
@@ -748,8 +777,9 @@ def coulomb_equivalence(space: FlagSpace, negative_control: bool = False) -> dic
             img = _over_unit(img, 1)
         images[f"eXbar1_{ell}"] = img
     images["Xbar2_1"] = _over_unit(pres_var(space, "eY2_1"), 2)
-    basis = _buchberger([_gb_from_pres(t) for t in target.generators])
     names = list(pres_names(space)) + [f"q{j}" for j in range(1, k + 1)]
+    width = len(names)
+    basis = _buchberger([_gb_from_pres(t) for t in target.generators], width)
     witnesses = []
     # Membership is meant in the ring where the (1 - q_j) are invertible, so
     # a relation counts as a member when some small product of those units
@@ -763,8 +793,8 @@ def coulomb_equivalence(space: FlagSpace, negative_control: bool = False) -> dic
         multipliers.append(m)
     for idx, g in enumerate(coul.generators):
         sub = clear_q_units(pres_substitute(g, images))
-        remainder = _reduce_full(_gb_from_pres(sub), basis)
-        if not remainder or any(not _reduce_full(_gb_from_pres(sub * m), basis)
+        remainder = _reduce_full(_gb_from_pres(sub), basis, width)
+        if not remainder or any(not _reduce_full(_gb_from_pres(sub * m), basis, width)
                                 for m in multipliers):
             continue
         witnesses.append({

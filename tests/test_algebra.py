@@ -19,7 +19,7 @@ from qkflag.algebra import (
     qs_inverse,
     render_laurent,
 )
-from qkflag.presentation import _grevlex_key
+from qkflag.presentation import _layout, _monomial
 
 
 def T(i, nvars=2):
@@ -142,8 +142,16 @@ def test_memoized_grevlex_key_orders_as_formula():
     def formula(e):
         return (sum(e), tuple(-x for x in reversed(e)))
 
-    assert [_grevlex_key(e) for e in exps] == [formula(e) for e in exps]
-    assert sorted(exps, key=_grevlex_key) == sorted(exps, key=formula)
+    # the packed key of each monomial ranks every pair as the formula does
+    key = _layout(6)[1]
+    packed = [key(_monomial(e)) for e in exps]
+    expected = [formula(e) for e in exps]
+    for ka, fa in zip(packed, expected):
+        for kb, fb in zip(packed, expected):
+            assert (ka < kb, ka == kb) == (fa < fb, fa == fb)
+    assert sorted(exps, key=lambda e: key(_monomial(e))) == sorted(exps, key=formula)
+    # memoised: every key computed is kept
+    assert all(_monomial(e) in key.__self__ for e in exps)
 
 
 @given(laurent_polys(max_terms=2, exp_range=1, coeff_range=4))

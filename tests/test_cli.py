@@ -102,10 +102,10 @@ def test_readme_examples_match_golden_digests(capsys):
     "verify presentation --n 3 --coeffs exact",
 ])
 def test_integral_commands_do_not_import_sympy(command):
-    # sympy backs only the gcd of genuine fractions; its import roughly
-    # doubles a command's peak memory, so a class that falls back from exact
-    # Laurent division to fraction arithmetic shows up here, and so does a
-    # (1 - q_j) cancellation in the Coulomb check that is not exact division
+    # the library has no sympy dependency and every division is exact
+    # Laurent division; an import of sympy roughly doubles a command's peak
+    # memory, so a change that brings fraction arithmetic back, in a class
+    # or in the Coulomb check's (1 - q_j) cancellations, shows up here
     probe = ("import contextlib, io, sys\n"
              "from qkflag.cli import dispatch\n"
              "with contextlib.redirect_stdout(io.StringIO()):\n"

@@ -12,6 +12,7 @@ from fractions import Fraction
 
 import pytest
 
+from qkflag import ktheory
 from qkflag.algebra import (
     LaurentPolynomial,
     elem_sym,
@@ -441,6 +442,19 @@ def test_expansions_and_pairings_match_euler_char():
                 chi_lower = euler_char(sigma * schubert_class(space, v, "B"))
                 assert chi_lower == sum((upper[u] for u in reps if bruhat_leq(u, v)), zero)
                 assert paired[v] == chi_lower
+
+
+def test_pairings_of_zero_class_build_no_schubert_class(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("expanded the zero class")
+
+    monkeypatch.setattr(ktheory, "expand_schubert", refuse)
+    for space in (FlagSpace(3, (1, 2)), FlagSpace.full(4)):
+        zero = laurent(0, space.n)
+        assert pairings(zero_class(space)) == {g: zero for g in min_coset_reps(space)}
+        # a difference that cancels at every point is the zero class too
+        det = det_class(space, 1)
+        assert set(pairings(det - det).values()) == {zero}
 
 
 def _fl2_point_indicator():

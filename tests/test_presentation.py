@@ -2,7 +2,9 @@
 critical-locus comparison, and evaluation into the localization model."""
 
 import hashlib
+import itertools
 import json
+import random
 from fractions import Fraction
 
 import pytest
@@ -266,34 +268,38 @@ def test_exact_dimension_matches_seeded(space, flavor, dim):
 
 
 def _seeded_classical(space):
+    # (generators, number of variables)
     tvals = presentation._seed_values(0, space.n)
-    return [{e: v for e, c in g.terms.items()
+    gens = [{presentation._monomial(e): v for e, c in g.terms.items()
              if (v := presentation._eval_laurent(c, tvals)) != 0}
             for g in ideal_generators(space, "classical").generators]
+    return gens, len(pres_names(space))
 
 
 @pytest.mark.parametrize("make_gens", [
-    lambda: [presentation._gb_from_pres(g) for g in
-             ideal_generators(INC3, "quantum-polynomial").generators],
+    lambda: ([presentation._gb_from_pres(g) for g in
+              ideal_generators(INC3, "quantum-polynomial").generators],
+             len(pres_names(INC3)) + INC3.k),
     lambda: _seeded_classical(INC4),
     lambda: _seeded_classical(FlagSpace(5, (1, 4))),
 ], ids=["laurent-Fl(1,2;3)-quantum", "seeded-Fl(1,3;4)", "seeded-Fl(1,4;5)"])
 def test_groebner_basis_invariants(make_gens):
-    gens = make_gens()
-    basis = presentation._buchberger(gens)
+    gens, nv = make_gens()
+    guards = presentation._layout(nv)[0]
+    basis = presentation._buchberger(gens, nv)
     reduce = presentation._reduce_full
     # Buchberger's criterion over every pair, whatever the engine pruned
     for i, a in enumerate(basis):
         for b in basis[i + 1:]:
-            assert reduce(presentation._spoly(a, b), basis) == {}
+            assert reduce(presentation._spoly(a, b), basis, nv) == {}
     for g in gens:
-        assert reduce(g, basis) == {}
+        assert reduce(g, basis, nv) == {}
     for lead, terms in basis:
-        assert presentation._lt(terms) == lead and terms[lead] == 1
+        assert max(terms, key=presentation._layout(nv)[1]) == lead and terms[lead] == 1
     # minimal: no leading term divides another
     leads = [lead for lead, _ in basis]
     for i, a in enumerate(leads):
-        assert not any(presentation._divides(a, b)
+        assert not any(presentation._divides(a, b, guards)
                        for j, b in enumerate(leads) if j != i)
 
 
@@ -303,11 +309,11 @@ def test_inexact_leading_coefficient_is_an_internal_error(capsys, monkeypatch):
     # engine would need a fraction it does not carry
     real = presentation._buchberger
 
-    def skewed(gens):
+    def skewed(gens, nv):
         first = dict(gens[0])
-        lead = presentation._lt(first)
+        lead = max(first, key=presentation._layout(nv)[1])
         first[lead] = first[lead] * 2
-        return real([first] + gens[1:])
+        return real([first] + gens[1:], nv)
 
     monkeypatch.setattr(presentation, "_buchberger", skewed)
     with pytest.raises(RuntimeError, match="leading coefficient"):
@@ -317,6 +323,95 @@ def test_inexact_leading_coefficient_is_an_internal_error(capsys, monkeypatch):
     out, err = capsys.readouterr()
     assert out == ""
     assert "leading coefficient" in err
+
+
+def _random_exponents(rng, nv, top):
+    # entries in [0, top], zeros included, total degree below the guard bit
+    while True:
+        e = tuple(rng.choice((0, 0, rng.randint(0, top))) for _ in range(nv))
+        if sum(e) < presentation._LIMIT:
+            return e
+
+
+def test_guard_bit_divisibility_matches_componentwise():
+    rng = random.Random(5)
+    limit = presentation._LIMIT
+    pairs = [
+        ((1, 0), (0, 1)),                  # borrows from the field above
+        ((0, 1), (1, 0)),
+        ((limit - 1, 0), (0, limit - 1)),  # the widest borrow
+        ((3, 0, 2), (3, 1, 1)),            # equal low field, top field short
+        ((0, 0, 0), (0, 0, 0)),
+    ]
+    for _ in range(3000):
+        nv = rng.randint(1, 8)
+        top = rng.choice((3, 40, limit // nv - 1))
+        a = _random_exponents(rng, nv, top)
+        b = list(_random_exponents(rng, nv, top))
+        if rng.random() < 0.5:
+            # b = a plus a nonnegative vector, with one entry perhaps lowered
+            b = [x + rng.randint(0, 2) for x in a]
+            if rng.random() < 0.5:
+                i = rng.randrange(nv)
+                b[i] = max(0, a[i] - 1)
+            if sum(b) >= limit:
+                continue
+        pairs.append((a, tuple(b)))
+    seen = set()
+    for a, b in pairs:
+        guards = presentation._layout(len(a))[0]
+        packed = presentation._divides(presentation._monomial(a),
+                                       presentation._monomial(b), guards)
+        expected = all(x <= y for x, y in zip(a, b))
+        assert packed == expected, (a, b)
+        seen.add(expected)
+    assert seen == {True, False}
+
+
+def test_packed_monomials_refuse_the_guard_bit():
+    limit = presentation._LIMIT
+    mono, lcm = presentation._monomial, presentation._lcm
+    assert mono((0, limit - 1, 0)) == (limit - 1) << presentation._FIELD
+    for e in ((limit,), (limit - 1, 1), (0, 0, limit)):
+        with pytest.raises(OverflowError):
+            mono(e)
+    with pytest.raises(OverflowError):
+        lcm(mono((limit - 1, 0)), mono((0, 1)))
+    assert lcm(mono((limit - 2, 0)), mono((0, 1))) == mono((limit - 2, 1))
+    # a pair of coprime leading terms whose lcm would reach the guard bit
+    # stops the engine instead of aliasing two monomials
+    gens = [{mono((limit // 2, 0)): 1, mono((0, 1)): 1},
+            {mono((0, limit // 2)): 1, mono((1, 0)): 1}]
+    with pytest.raises(OverflowError):
+        presentation._buchberger(gens, 2)
+
+
+def _box_count(lts, nv):
+    bounds = [min(e[v] for e in lts
+                  if e[v] and not any(e[:v] + e[v + 1:])) for v in range(nv)]
+    return sum(not any(all(x <= y for x, y in zip(e, pt)) for e in lts)
+               for pt in itertools.product(*(range(b) for b in bounds)))
+
+
+def test_staircase_count_matches_box_count():
+    rng = random.Random(8)
+    for _ in range(200):
+        nv = rng.randint(1, 5)
+        lts = [tuple(rng.randint(1, 5) if i == v else 0 for i in range(nv))
+               for v in range(nv)]
+        lts += [tuple(rng.randint(0, 4) for _ in range(nv))
+                for _ in range(rng.randint(0, 6))]
+        rng.shuffle(lts)
+        lead = {presentation._monomial(e) for e in lts}
+        assert presentation._quotient_dimension(lead, nv) == _box_count(lts, nv)
+    # without a pure power of the last or the first variable the quotient is
+    # infinite
+    for lts in ([(2, 0, 0), (0, 3, 0), (1, 1, 1), (0, 1, 2)],
+                [(0, 3, 0), (0, 0, 2), (1, 1, 0), (4, 0, 1)]):
+        assert presentation._quotient_dimension(
+            {presentation._monomial(e) for e in lts}, 3) is None
+    # the unit ideal has no pure powers and is refused like any other
+    assert presentation._quotient_dimension({0}, 2) is None
 
 
 def test_positive_dimensional_quotient_is_refused():
