@@ -146,6 +146,10 @@ class LaurentPolynomial:
     def is_monomial(self) -> bool:
         return len(self.terms) == 1
 
+    def is_unit(self) -> bool:
+        """+-T^e, the units of the Laurent ring."""
+        return len(self.terms) == 1 and abs(next(iter(self.terms.values()))) == 1
+
     # -- ring operations ---------------------------------------------------
 
     def _coerce(self, other) -> "LaurentPolynomial":
@@ -218,11 +222,10 @@ class LaurentPolynomial:
 
     def inverse_unit(self) -> "LaurentPolynomial":
         """Inverse of a unit (+- monomial with coefficient +-1)."""
-        if self.is_monomial():
-            (e, c), = self.terms.items()
-            if c in (1, -1):
-                return _laurent(self.nvars, {-e: c}, self._bound)
-        raise ValueError("not a unit in the Laurent ring")
+        if not self.is_unit():
+            raise ValueError("not a unit in the Laurent ring")
+        (e, c), = self.terms.items()
+        return _laurent(self.nvars, {-e: c}, self._bound)
 
     def __pow__(self, k: int):
         if k < 0:
@@ -322,30 +325,19 @@ def _divide_binomial(a: LaurentPolynomial, b_bound: int, c: int, e: int, d: int,
     return _laurent(a.nvars, out, a_bound + b_bound)
 
 
-def _lowered(p: LaurentPolynomial):
-    """p's terms keyed by exponent tuples, divided by the monomial of their
-    componentwise minimum, and that minimum; p must be nonzero."""
-    terms = dict(p._items())
-    low = tuple(map(min, zip(*terms)))
-    return {_vec_sub(e, low): c for e, c in terms.items()}, low
-
-
 def divexact(a: LaurentPolynomial, b: LaurentPolynomial) -> LaurentPolynomial:
     """Exact quotient a/b in the Laurent ring; raises if b does not divide a.
 
-    A monomial divisor divides term by term.  A binomial c*(T^e1 - T^e2)
-    with c = +-1 and some entry of e1 - e2 equal to +-1 -- every T_a - T_b
-    of the Demazure and Euler characteristic paths -- is divided
-    synthetically, one running sum per orbit of T^(e1-e2), in time linear in
-    the terms of a and of the quotient.  Any other divisor goes through
-    graded-lex long division on unpacked exponents, which takes each leading
-    term with a max over the remainder.  Exact quotients are unique, so the
-    paths agree.
+    Two divisor shapes are accepted.  A monomial divides term by term.  A
+    binomial c*(T^e1 - T^e2) with c = +-1 and some entry of e1 - e2 equal to
+    +-1 -- every T_a - T_b and 1 - T_a/T_b of the Demazure, Euler
+    characteristic and Schubert expansion paths -- is divided synthetically,
+    one running sum per orbit of T^(e1-e2), in time linear in the terms of a
+    and of the quotient.  Any other divisor is refused with ValueError; a
+    product of such binomials is divided one factor at a time.
     """
     if b.is_zero():
         raise ZeroDivisionError("division by zero polynomial")
-    if a.is_zero():
-        return LaurentPolynomial.zero(a.nvars)
     if b.is_monomial():
         (eb, cb), = b.terms.items()
         out = {}
@@ -355,30 +347,11 @@ def divexact(a: LaurentPolynomial, b: LaurentPolynomial) -> LaurentPolynomial:
             out[e - eb] = c // cb
         return _laurent(a.nvars, out, a._bound + b._bound)
     shape = _binomial_shape(b)
-    if shape is not None:
-        return _divide_binomial(a, b._bound, *shape)
-    rem, sa = _lowered(a)
-    bterms, sb = _lowered(b)
-    eb = max(bterms, key=_grlex_key)
-    cb = bterms[eb]
-    quot: dict[tuple[int, ...], int] = {}
-    while rem:
-        er = max(rem, key=_grlex_key)
-        cr = rem[er]
-        eq = _vec_sub(er, eb)
-        if any(x < 0 for x in eq) or cr % cb:
-            raise ValueError("not divisible")
-        cq = cr // cb
-        quot[eq] = cq
-        for e2, c2 in bterms.items():
-            e = _vec_add(eq, e2)
-            s = rem.get(e, 0) - cq * c2
-            if s:
-                rem[e] = s
-            elif e in rem:
-                del rem[e]
-    offset = _vec_sub(sa, sb)
-    return LaurentPolynomial(a.nvars, {_vec_add(e, offset): c for e, c in quot.items()})
+    if shape is None:
+        raise ValueError("divexact divides by a monomial or by a binomial "
+                         "+-(T^e1 - T^e2) with an exponent gap of +-1, not by "
+                         f"{render_laurent(b)}")
+    return _divide_binomial(a, b._bound, *shape)
 
 
 class QSeries:
@@ -609,114 +582,3 @@ def render_qseries(s: QSeries, tnames: list[str] | None = None,
                 qmono if body == "1" else f"-{qmono}" if body == "-1" else f"{body}*{qmono}")
         pieces.append(body)
     return " + ".join(pieces)
-
-
-class _Parser:
-    """Recursive-descent parser for the polynomial grammar.
-
-    expr   := term (('+'|'-') term)*
-    term   := factor (('*'|'/') factor)*
-    factor := '-'* atom ('^' int)?
-    atom   := integer | name | '(' expr ')'
-
-    Values are Laurent polynomials: '/' is exact division and a negative
-    power inverts a unit, each raising ``ValueError`` otherwise.
-    """
-
-    def __init__(self, text: str, names: list[str]):
-        self.text = text
-        self.pos = 0
-        self.names = {name: i for i, name in enumerate(names)}
-        self.nvars = len(names)
-
-    def _skip(self):
-        while self.pos < len(self.text) and self.text[self.pos].isspace():
-            self.pos += 1
-
-    def _peek(self) -> str:
-        self._skip()
-        return self.text[self.pos] if self.pos < len(self.text) else ""
-
-    def _expect(self, ch: str):
-        if self._peek() != ch:
-            raise ValueError(f"expected {ch!r} at position {self.pos} in {self.text!r}")
-        self.pos += 1
-
-    def parse(self) -> LaurentPolynomial:
-        v = self._expr()
-        self._skip()
-        if self.pos != len(self.text):
-            raise ValueError(f"trailing input at position {self.pos} in {self.text!r}")
-        return v
-
-    def _expr(self) -> LaurentPolynomial:
-        v = self._term()
-        while True:
-            ch = self._peek()
-            if ch == "+":
-                self.pos += 1
-                v = v + self._term()
-            elif ch == "-":
-                self.pos += 1
-                v = v - self._term()
-            else:
-                return v
-
-    def _term(self) -> LaurentPolynomial:
-        v = self._factor()
-        while True:
-            ch = self._peek()
-            if ch == "*":
-                self.pos += 1
-                v = v * self._factor()
-            elif ch == "/":
-                self.pos += 1
-                v = v / self._factor()
-            else:
-                return v
-
-    def _factor(self) -> LaurentPolynomial:
-        sign = 1
-        while self._peek() == "-":
-            sign = -sign
-            self.pos += 1
-        v = self._atom()
-        if self._peek() == "^":
-            self.pos += 1
-            v = v ** self._int()
-        return v if sign == 1 else -v
-
-    def _int(self) -> int:
-        self._skip()
-        start = self.pos
-        if self._peek() == "-":
-            self.pos += 1
-        while self.pos < len(self.text) and self.text[self.pos].isdigit():
-            self.pos += 1
-        if self.pos == start or self.text[start:self.pos] == "-":
-            raise ValueError(f"expected integer at position {start} in {self.text!r}")
-        return int(self.text[start:self.pos])
-
-    def _atom(self) -> LaurentPolynomial:
-        ch = self._peek()
-        if ch == "(":
-            self.pos += 1
-            v = self._expr()
-            self._expect(")")
-            return v
-        if ch.isdigit():
-            return LaurentPolynomial.constant(self.nvars, self._int())
-        if ch.isalpha():
-            start = self.pos
-            while self.pos < len(self.text) and (self.text[self.pos].isalnum() or self.text[self.pos] == "_"):
-                self.pos += 1
-            name = self.text[start:self.pos]
-            if name not in self.names:
-                raise ValueError(f"unknown variable {name!r}")
-            return LaurentPolynomial.variable(self.nvars, self.names[name] + 1)
-        raise ValueError(f"unexpected character {ch!r} at position {self.pos} in {self.text!r}")
-
-
-def parse_laurent(text: str, names: list[str]) -> LaurentPolynomial:
-    """Parse the stable text grammar back into a Laurent polynomial."""
-    return _Parser(text, names).parse()

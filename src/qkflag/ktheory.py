@@ -20,6 +20,7 @@ suite pins both facts exhaustively for small n.
 
 from dataclasses import dataclass
 from functools import lru_cache
+from math import prod
 
 from .algebra import (
     LaurentPolynomial,
@@ -224,13 +225,23 @@ def demazure_word(word, sigma: KClass) -> KClass:
 # -- Schubert classes -------------------------------------------------------
 
 
-def _tangent_seed(n: int, w: Perm) -> LaurentPolynomial:
-    # prod_{i<j} (1 - T_{w(i)}/T_{w(j)})
-    p = LaurentPolynomial.one(n)
-    for i in range(n):
-        for j in range(i + 1, n):
-            p = p * (LaurentPolynomial.one(n) - _tchar(n, w[i]) * _tchar(n, w[j]).inverse_unit())
-    return p
+def _blocks(space: FlagSpace) -> list[int]:
+    # the rank block of each position 0..n-1; the tangent weights at w are
+    # the pairs i < j of positions in distinct blocks
+    return [b for b, (lo, hi) in enumerate(space.block_bounds()) for _ in range(lo, hi)]
+
+
+def _tangent_factors(space: FlagSpace, x: Perm, variant: str) -> tuple:
+    """The binomials whose product is the diagonal restriction of the
+    Schubert class at its own point: O_x|_x (variant "B") is the product of
+    1 - T_{x(i)}/T_{x(j)} over the tangent pairs i < j with x(i) < x(j),
+    O^x|_x over those with x(i) > x(j)."""
+    n = space.n
+    blk = _blocks(space)
+    one = LaurentPolynomial.one(n)
+    return tuple(one - _tchar(n, x[i]) * _tchar(n, x[j]).inverse_unit()
+                 for i in range(n) for j in range(i + 1, n)
+                 if blk[i] != blk[j] and (x[i] < x[j]) == (variant == "B"))
 
 
 @lru_cache(maxsize=None)
@@ -242,7 +253,7 @@ def _schubert_full(n: int, w: Perm, variant: str) -> KClass:
     if w == start:
         space = FlagSpace.full(n)
         vals = {v: LaurentPolynomial.zero(n) for v in min_coset_reps(space)}
-        vals[w] = _tangent_seed(n, w)
+        vals[w] = prod(_tangent_factors(space, w, variant), start=LaurentPolynomial.one(n))
         return KClass(space, vals)
     descent = variant == "B"
     i = next(i for i in range(1, n) if (w[i - 1] > w[i]) == descent)
@@ -273,10 +284,7 @@ def schubert_class(space: FlagSpace, w: Perm, variant: str = "B") -> KClass:
 @lru_cache(maxsize=None)
 def _euler_data(space: FlagSpace):
     n = space.n
-    blk = [0] * n
-    for b, (lo, hi) in enumerate(space.block_bounds()):
-        for p in range(lo, hi):
-            blk[p] = b
+    blk = _blocks(space)
     rows = []
     for w in min_coset_reps(space):
         cross_noninv = 0
@@ -326,12 +334,19 @@ def euler_char(sigma: KClass) -> LaurentPolynomial:
 # -- basis expansion --------------------------------------------------------
 
 
+@lru_cache(maxsize=None)
+def _diagonal_factors(space: FlagSpace, variant: str) -> dict:
+    """_tangent_factors at every fixed point of the space."""
+    return {x: _tangent_factors(space, x, variant) for x in min_coset_reps(space)}
+
+
 def expand_schubert(sigma: KClass, basis: str = "B") -> dict:
     """Coordinates of sigma in a Schubert basis, solved by substitution.
 
     O_w restricts to zero at x unless x <= w, and O^w unless x >= w, so
     walking the fixed points down for "B" (up for "B-") each coordinate is
-    a_x = (sigma|_x - sum_{v done} a_v * O_v|_x) / O_x|_x.  A class outside
+    a_x = (sigma|_x - sum_{v done} a_v * O_v|_x) / O_x|_x, divided by the
+    binomial factors of the diagonal O_x|_x one at a time.  A class outside
     the basis' span over K_T(pt) has a non-Laurent coordinate: ValueError.
     """
     if basis not in ("B", "B-"):
@@ -339,6 +354,7 @@ def expand_schubert(sigma: KClass, basis: str = "B") -> dict:
     space = sigma.space
     reps = min_coset_reps(space)
     classes = {v: schubert_class(space, v, basis).values for v in reps}
+    diagonal = _diagonal_factors(space, basis)
     coords: dict[Perm, LaurentPolynomial] = {}
     for x in (reversed(reps) if basis == "B" else reps):
         acc = sigma.values[x]
@@ -346,7 +362,9 @@ def expand_schubert(sigma: KClass, basis: str = "B") -> dict:
             if not (a.is_zero() or classes[v][x].is_zero()):
                 acc = acc - a * classes[v][x]
         try:
-            coords[x] = acc / classes[x][x]
+            for f in diagonal[x]:
+                acc = divexact(acc, f)
+            coords[x] = acc
         except ValueError:
             raise ValueError(f"the class is not in the Schubert span: its coordinate "
                              f"at {x} is not a Laurent polynomial") from None

@@ -36,6 +36,7 @@ import random
 from .algebra import (
     LaurentPolynomial,
     QSeries,
+    _render_monomial,
     default_names,
     divexact,
     qs_inverse,
@@ -318,8 +319,7 @@ def render_pres(p: PresPoly) -> str:
     pieces = []
     for e in sorted(p.terms, key=lambda e: (sum(e), [-x for x in e[::-1]]), reverse=True):
         c = p.terms[e]
-        mono = "*".join(nm if x == 1 else f"{nm}^{x}"
-                        for nm, x in zip(p.names, e) if x)
+        mono = _render_monomial(e, p.names)
         cs = render_laurent(c, cnames)
         if not mono:
             pieces.append(cs if _is_bare(cs) else f"({cs})")
@@ -487,10 +487,13 @@ def _coulomb_generators(space: FlagSpace) -> list:
 # Polynomials are dicts from packed monomials to nonzero coefficients: Fraction
 # (seeded dimensions) or LaurentPolynomial in the torus weights (exact
 # dimensions, Coulomb membership).  Graded reverse lexicographic order
-# throughout.  Basis elements are kept monic: _monic is the one place that
-# divides by a leading coefficient, so reduction and S-polynomials only
-# multiply and subtract.  Laurent division must be exact, which keeps every
-# value equal to its fraction-field counterpart; otherwise RuntimeError.
+# throughout.  _monic is the one place that divides by a leading coefficient,
+# and only by a unit: every Fraction, and a Laurent +-T^e.  An element whose
+# leading coefficient is no unit, such as e_1(T), is kept as it is, and
+# reduction and S-polynomials cross-multiply by that coefficient instead
+# (pseudo-reduction over an integral domain, Becker and Weispfenning ch. 5),
+# so every coefficient stays a Laurent polynomial and the leading terms are
+# those of a Groebner basis over the function field.
 #
 # A monomial in nv variables is one integer (Bachmann and Schoenemann 1998):
 # variable i fills bits 16i .. 16i + 14, and bit 16i + 15 is its guard.  A
@@ -545,18 +548,19 @@ def _divides(a: int, b: int, guards: int) -> bool:
 
 
 def _monic(p: dict, nv: int) -> tuple:
-    """The basis element (leading monomial, p / leading coefficient)."""
+    """The basis element (leading monomial, p / leading coefficient) when that
+    coefficient is a unit, (leading monomial, p) otherwise."""
     lead = max(p, key=_layout(nv)[1])
     c = p[lead]
-    try:
-        return lead, {e: x / c for e, x in p.items()}
-    except ValueError:
-        raise RuntimeError("Groebner basis leading coefficient does not divide "
-                           "its polynomial in the Laurent ring") from None
+    if isinstance(c, LaurentPolynomial) and not c.is_unit():
+        return lead, p
+    return lead, {e: x / c for e, x in p.items()}
 
 
 def _reduce_full(p: dict, basis: list, nv: int) -> dict:
-    """Remainder of p on full division by the monic basis, largest first."""
+    """Remainder of p on full division by the basis, largest first; a basis
+    leading coefficient other than 1 scales what is left by it first, so the
+    remainder is that of p times a product of those coefficients."""
     guards, key = _layout(nv)
     work = dict(p)
     out = {}
@@ -569,6 +573,10 @@ def _reduce_full(p: dict, basis: list, nv: int) -> dict:
         else:
             out[lead] = c
             continue
+        lc = bterms[blt]
+        if lc != 1:
+            work = {e: x * lc for e, x in work.items()}
+            out = {e: x * lc for e, x in out.items()}
         shift, c = lead - blt, -c
         for be, bc in bterms.items():
             if be == blt:
@@ -595,6 +603,10 @@ def _spoly(a: tuple, b: tuple) -> dict:
     (alt, aterms), (blt, bterms) = a, b
     lcm = _lcm(alt, blt)
     fa, fb = lcm - alt, lcm - blt
+    ca, cb = aterms[alt], bterms[blt]
+    if ca != 1 or cb != 1:
+        aterms = {e: c * cb for e, c in aterms.items()}
+        bterms = {e: c * ca for e, c in bterms.items()}
     out = {e + fa: c for e, c in aterms.items()}
     for e, c in bterms.items():
         ke = e + fb
@@ -608,7 +620,8 @@ def _spoly(a: tuple, b: tuple) -> dict:
 
 
 def _buchberger(gens: list, nv: int) -> list:
-    """Minimal monic Groebner basis of the ideal the given polynomials generate."""
+    """Minimal Groebner basis of the ideal the given polynomials generate, each
+    element normalized by its leading coefficient when that is a unit."""
     guards, key = _layout(nv)
     basis = []      # every element ever added
     current = []    # indices of the elements no later leading term divides
@@ -701,7 +714,7 @@ def groebner_dimension(spec: IdealSpec, seeds: tuple = (0, 1),
     (``ValueError`` otherwise).  The Groebner engine runs over ``Fraction``
     with the weights specialized to seeded distinct nonzero rationals, and
     the count of standard monomials must agree across seeds; with ``exact``
-    it runs once over the Laurent polynomials, dividing exactly.  Raises
+    it runs once over the Laurent polynomials, pseudo-reducing.  Raises
     ``RuntimeError`` if the specialized quotient fails to be
     zero-dimensional.
     """
@@ -730,8 +743,8 @@ def groebner_dimension(spec: IdealSpec, seeds: tuple = (0, 1),
 def _gb_from_pres(p: PresPoly) -> dict:
     """Flatten a presentation polynomial into the membership ring, where the
     quantum parameters become honest polynomial variables and the torus
-    weights stay in Laurent coefficients, which the Groebner engine divides
-    exactly.  Clear the (1 - q_j) denominators first (``ValueError``)."""
+    weights stay in Laurent coefficients, which the Groebner engine keeps
+    Laurent.  Clear the (1 - q_j) denominators first (``ValueError``)."""
     if any(p.den):
         raise ValueError("clear the (1 - q_j) denominators first")
     n, k = p.space.n, p.space.k
@@ -744,7 +757,7 @@ def _render_member(p: dict, names: list, n: int) -> str:
     pieces = []
     for m in sorted(p, key=_layout(len(names))[1], reverse=True):
         e = [(m >> (_FIELD * i)) & _FMASK for i in range(len(names))]
-        mono = "*".join(nm if x == 1 else f"{nm}^{x}" for nm, x in zip(names, e) if x)
+        mono = _render_monomial(e, names)
         cs = render_laurent(p[m], tnames)
         pieces.append(f"({cs})*{mono}" if mono else f"({cs})")
     return " + ".join(pieces) if pieces else "0"
@@ -759,8 +772,8 @@ def coulomb_equivalence(space: FlagSpace, negative_control: bool = False) -> dic
     line divided by (1 - q_2).  After clearing denominators each transformed
     relation must lie in the quantized Whitney ideal up to further (1 - q_j)
     unit factors, since those are invertible wherever the presentations are
-    compared.  Membership is decided by exact reduction modulo a Groebner
-    basis of the Whitney ideal.
+    compared.  Membership is decided by reduction modulo a Groebner basis
+    of the Whitney ideal, over the function field in the torus weights.
     ``negative_control`` omits the 1/(1 - q_1) factor, which must break
     membership.
     """

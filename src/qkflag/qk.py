@@ -538,11 +538,9 @@ def line_bundle_solve(oracle: GWOracle, L, sigma: QKElement,
     for w in reps:
         # the operator's diagonal entry at w is the restriction L|_w
         value = c0 if c1.is_zero() else c0 + c1 * det_class(space, j).at(w)
-        try:
-            value.inverse_unit()
-        except ValueError:
+        if not value.is_unit():
             raise ValueError(f"{L!r} restricts to {value} at the fixed point {w}, "
-                             "so it is not a unit") from None
+                             "so it is not a unit")
     rows, diag = _line_matrix(oracle, L, bound)
     rhs = {w: sigma.at(w) for w in reps}
     return QKElement(space, bound,

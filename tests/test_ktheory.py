@@ -15,6 +15,7 @@ import pytest
 from qkflag import ktheory
 from qkflag.algebra import (
     LaurentPolynomial,
+    _binomial_shape,
     elem_sym,
     render_laurent,
 )
@@ -367,6 +368,25 @@ def test_determinant_line_identity():
             opposite = schubert_class(space, simple_reflection(n, r), "B-")
             rhs = (one_class(space) - opposite) * mono
             assert det_class(space, j) == rhs
+
+
+@pytest.mark.parametrize("n, ranks", [
+    (3, (1, 2)), (4, (1, 2, 3)), (4, (2,)), (4, (1, 3)), (5, (2, 3)), (5, (1, 4)),
+    (5, (1, 2, 3, 4)), (6, (1, 5)), (6, (2, 4)),
+])
+def test_diagonal_factors_multiply_to_the_diagonal(n, ranks):
+    # expand_schubert divides by these binomials in turn, synthetically, so
+    # their product must be the restriction of each Schubert class to its
+    # own point
+    space = FlagSpace(n, ranks)
+    for variant in ("B", "B-"):
+        factors = ktheory._diagonal_factors(space, variant)
+        for x in min_coset_reps(space):
+            diagonal = laurent(1, n)
+            for f in factors[x]:
+                assert _binomial_shape(f) is not None
+                diagonal = diagonal * f
+            assert diagonal == schubert_class(space, x, variant).at(x)
 
 
 def test_expand_schubert_recovers_indicators():

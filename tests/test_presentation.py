@@ -258,11 +258,16 @@ def test_exact_dimension_mode():
     (FlagSpace(5, (1, 4)), "classical", 20),
     (FlagSpace(5, (1, 4)), "quantum-polynomial", 20),
     (FlagSpace(5, (1, 2, 3, 4)), "classical", 120),
+    (FlagSpace(5, (1, 3)), "classical", 30),
+    (FlagSpace(5, (2, 3)), "classical", 30),
 ], ids=["Fl(1,3;4)-classical", "Fl(1,3;4)-quantum", "Fl(1,2;4)", "Gr(2,4)",
-        "Fl(4)", "Fl(1,4;5)-classical", "Fl(1,4;5)-quantum", "Fl(5)"])
+        "Fl(4)", "Fl(1,4;5)-classical", "Fl(1,4;5)-quantum", "Fl(5)", "Fl(1,3;5)",
+        "Fl(2,3;5)"])
 def test_exact_dimension_matches_seeded(space, flavor, dim):
     # the seeded runs carry Fraction coefficients at random weights, the exact
-    # run Laurent ones, so agreement checks the Laurent arithmetic
+    # run Laurent ones, so agreement checks the Laurent arithmetic; on
+    # Fl(1,3;5) and Fl(2,3;5) the exact basis has leading coefficients such
+    # as e_1(T) that are no unit, so it pseudo-reduces
     spec = ideal_generators(space, flavor)
     assert groebner_dimension(spec, exact=True) == groebner_dimension(spec) == dim
 
@@ -276,13 +281,24 @@ def _seeded_classical(space):
     return gens, len(pres_names(space))
 
 
+def _laurent_classical(space):
+    # the q = 0 generators over Laurent coefficients in the torus weights
+    q0 = (0,) * space.k
+    gens = [{presentation._monomial(e): presentation._split_q(c, space.n, space.k)[q0]
+             for e, c in g.terms.items()}
+            for g in ideal_generators(space, "classical").generators]
+    return gens, len(pres_names(space))
+
+
 @pytest.mark.parametrize("make_gens", [
     lambda: ([presentation._gb_from_pres(g) for g in
               ideal_generators(INC3, "quantum-polynomial").generators],
              len(pres_names(INC3)) + INC3.k),
     lambda: _seeded_classical(INC4),
     lambda: _seeded_classical(FlagSpace(5, (1, 4))),
-], ids=["laurent-Fl(1,2;3)-quantum", "seeded-Fl(1,3;4)", "seeded-Fl(1,4;5)"])
+    lambda: _laurent_classical(FlagSpace(5, (2, 3))),
+], ids=["laurent-Fl(1,2;3)-quantum", "seeded-Fl(1,3;4)", "seeded-Fl(1,4;5)",
+        "laurent-Fl(2,3;5)"])
 def test_groebner_basis_invariants(make_gens):
     gens, nv = make_gens()
     guards = presentation._layout(nv)[0]
@@ -294,8 +310,11 @@ def test_groebner_basis_invariants(make_gens):
             assert reduce(presentation._spoly(a, b), basis, nv) == {}
     for g in gens:
         assert reduce(g, basis, nv) == {}
+    # normalized exactly when the leading coefficient is a unit
     for lead, terms in basis:
-        assert max(terms, key=presentation._layout(nv)[1]) == lead and terms[lead] == 1
+        lc = terms[lead]
+        assert max(terms, key=presentation._layout(nv)[1]) == lead
+        assert lc == 1 or not lc.is_unit()
     # minimal: no leading term divides another
     leads = [lead for lead, _ in basis]
     for i, a in enumerate(leads):
@@ -303,26 +322,32 @@ def test_groebner_basis_invariants(make_gens):
                        for j, b in enumerate(leads) if j != i)
 
 
-def test_inexact_leading_coefficient_is_an_internal_error(capsys, monkeypatch):
-    # doubling the leading coefficient of the first generator leaves it
-    # dividing none of that generator's +-1 coefficients, so the Laurent
-    # engine would need a fraction it does not carry
+def test_non_unit_leading_coefficient_is_pseudo_reduced(capsys, monkeypatch):
+    # doubling the first generator keeps the ideal over the function field,
+    # but its leading coefficient 2 divides none of the +-1 in the Laurent
+    # ring: the engine keeps that element as it is and cross-multiplies by
+    # the 2 when it reduces.  Doubling the leading term alone makes another
+    # ideal of the same dimension, one the critical-locus relations miss.
     real = presentation._buchberger
+    whole = True
 
     def skewed(gens, nv):
         first = dict(gens[0])
         lead = max(first, key=presentation._layout(nv)[1])
-        first[lead] = first[lead] * 2
+        for e in (list(first) if whole else [lead]):
+            first[e] = first[e] * 2
         return real([first] + gens[1:], nv)
 
     monkeypatch.setattr(presentation, "_buchberger", skewed)
-    with pytest.raises(RuntimeError, match="leading coefficient"):
-        groebner_dimension(ideal_generators(INC3, "classical"), exact=True)
-    # at the command line that is an internal error: exit 4, no verdict
-    assert dispatch(["verify", "coulomb", "--n", "3"]) == 4
-    out, err = capsys.readouterr()
-    assert out == ""
-    assert "leading coefficient" in err
+    for whole, code, witnesses in [
+            (True, 0, []),
+            (False, 1, [{"relation": "critical-locus-1",
+                         "remainder": "(-1)*eX2_1 + (1)*eY1_1"}])]:
+        assert groebner_dimension(ideal_generators(INC3, "classical"), exact=True) == 6
+        assert dispatch(["verify", "coulomb", "--n", "3"]) == code
+        out, err = capsys.readouterr()
+        assert json.loads(out)["witnesses"] == witnesses
+        assert "internal error" not in err
 
 
 def _random_exponents(rng, nv, top):
