@@ -390,10 +390,10 @@ class QSeries:
         return QSeries(k, nvars, bound, {(0,) * k: LaurentPolynomial.one(nvars)})
 
     @staticmethod
-    def q(k: int, nvars: int, bound: int, j: int, power: int = 1) -> "QSeries":
-        """The monomial q_j^power with 1-based index j."""
+    def q(k: int, nvars: int, bound: int, j: int) -> "QSeries":
+        """The monomial q_j with 1-based index j."""
         e = [0] * k
-        e[j - 1] = power
+        e[j - 1] = 1
         return QSeries(k, nvars, bound, {tuple(e): LaurentPolynomial.one(nvars)})
 
     def is_zero(self) -> bool:
@@ -564,19 +564,15 @@ def render_laurent(p: LaurentPolynomial, names: list[str] | None = None) -> str:
     return out
 
 
-def render_qseries(s: QSeries, tnames: list[str] | None = None,
-                   qnames: list[str] | None = None) -> str:
-    if tnames is None:
-        tnames = default_names(s.nvars)
-    if qnames is None:
-        qnames = [f"q{i}" for i in range(1, s.k + 1)]
+def render_qseries(s: QSeries) -> str:
     if not s.coeffs:
         return "0"
+    qnames = [f"q{i}" for i in range(1, s.k + 1)]
     pieces = []
     for d in sorted(s.coeffs, key=_grlex_key):
         c = s.coeffs[d]
         qmono = _render_monomial(d, qnames)
-        body = render_laurent(c, tnames)
+        body = render_laurent(c)
         if qmono:
             body = f"({body})*{qmono}" if " " in body else (
                 qmono if body == "1" else f"-{qmono}" if body == "-1" else f"{body}*{qmono}")

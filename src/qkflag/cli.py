@@ -324,7 +324,7 @@ def _cmd_product(args, parser):
     oracle = _get_oracle(space, args, parser)
     L = _get_line(args.L, space, parser)
     sigma = _get_class(args.sigma, space, parser)
-    el = line_bundle_product(oracle, L, embed_classical(sigma, args.qdeg), args.qdeg)
+    el = line_bundle_product(oracle, L, embed_classical(sigma, args.qdeg))
     payload = {
         "config": _config(args, space, L=args.L, sigma=args.sigma),
         "product": _element_json(el),
@@ -334,18 +334,14 @@ def _cmd_product(args, parser):
     return 0, payload, f"product {args.L} * {args.sigma} on {_label(space)}"
 
 
-def _seeds_or_exact(args):
-    # args.coeffs was validated by _coeff_mode
-    if args.coeffs == "exact":
-        return None, True
-    s = int(args.coeffs[5:])
-    return (s, s + 1), False
+def _seed(args):
+    # args.coeffs was validated by _coeff_mode; exact runs unseeded
+    return None if args.coeffs == "exact" else int(args.coeffs[5:])
 
 
 def _cmd_verify_classical(args, parser):
     space = _get_space(args, parser)
-    seeds, exact = _seeds_or_exact(args)
-    dim = groebner_dimension(ideal_generators(space, "classical"), seeds, exact)
+    dim = groebner_dimension(ideal_generators(space, "classical"), _seed(args))
     expected = len(min_coset_reps(space))
     status = "PASS" if dim == expected else "FAIL"
     witnesses = [] if status == "PASS" else [
@@ -406,12 +402,12 @@ def _cmd_verify_coulomb(args, parser):
 
 def _cmd_verify_presentation(args, parser):
     space = _incidence_space(args, parser)
-    seeds, exact = _seeds_or_exact(args)
+    seed = _seed(args)
     expected = len(min_coset_reps(space))
     witnesses = []
     dims = {}
     for flavor in ("classical", "quantum-polynomial", "quantum-power-series"):
-        dims[flavor] = groebner_dimension(ideal_generators(space, flavor), seeds, exact)
+        dims[flavor] = groebner_dimension(ideal_generators(space, flavor), seed)
         if dims[flavor] != expected:
             witnesses.append({"relation": f"dimension-{flavor}",
                               "dimension": dims[flavor], "expected": expected})

@@ -706,15 +706,15 @@ def _eval_laurent(p: LaurentPolynomial, tvals: list) -> Fraction:
     return sum(co * prod(t ** x for t, x in zip(tvals, e)) for e, co in p._items())
 
 
-def groebner_dimension(spec: IdealSpec, seeds: tuple = (0, 1),
-                       exact: bool = False) -> int:
+def groebner_dimension(spec: IdealSpec, seed: int | None = 0) -> int:
     """Dimension over the function field of the quotient by the ideal at q=0.
 
     Each q = 0 coefficient must be a Laurent polynomial in the torus weights
-    (``ValueError`` otherwise).  The Groebner engine runs over ``Fraction``
-    with the weights specialized to seeded distinct nonzero rationals, and
-    the count of standard monomials must agree across seeds; with ``exact``
-    it runs once over the Laurent polynomials, pseudo-reducing.  Raises
+    (``ValueError`` otherwise).  With an integer seed s the Groebner engine
+    runs over ``Fraction`` twice, with the weights specialized to the
+    distinct nonzero rationals of seeds s and s + 1, and the two counts of
+    standard monomials must agree; with seed None it runs once over the
+    Laurent polynomials, pseudo-reducing.  Raises
     ``RuntimeError`` if the specialized quotient fails to be
     zero-dimensional.
     """
@@ -726,7 +726,7 @@ def groebner_dimension(spec: IdealSpec, seeds: tuple = (0, 1),
              for g in spec.generators]
     nv = len(spec.generators[0].names)
     counts = []
-    for tvals in [None] if exact else [_seed_values(seed, n) for seed in seeds]:
+    for tvals in [None] if seed is None else [_seed_values(s, n) for s in (seed, seed + 1)]:
         polys = gens0 if tvals is None else [
             {e: v for e, c in g.items() if (v := _eval_laurent(c, tvals)) != 0} for g in gens0]
         d = _quotient_dimension({lt for lt, _ in _buchberger(polys, nv)}, nv)
@@ -752,13 +752,12 @@ def _gb_from_pres(p: PresPoly) -> dict:
             for qe, part in _split_q(c, n, k).items()}
 
 
-def _render_member(p: dict, names: list, n: int) -> str:
-    tnames = default_names(n)
+def _render_member(p: dict, names: list) -> str:
     pieces = []
     for m in sorted(p, key=_layout(len(names))[1], reverse=True):
         e = [(m >> (_FIELD * i)) & _FMASK for i in range(len(names))]
         mono = _render_monomial(e, names)
-        cs = render_laurent(p[m], tnames)
+        cs = render_laurent(p[m])
         pieces.append(f"({cs})*{mono}" if mono else f"({cs})")
     return " + ".join(pieces) if pieces else "0"
 
@@ -812,7 +811,7 @@ def coulomb_equivalence(space: FlagSpace, negative_control: bool = False) -> dic
             continue
         witnesses.append({
             "relation": f"critical-locus-{idx + 1}",
-            "remainder": _render_member(remainder, names, n),
+            "remainder": _render_member(remainder, names),
         })
     return _report("coulomb-equivalence", space, None,
                    "FAIL" if witnesses else "PASS", witnesses)
@@ -857,14 +856,13 @@ def psi_evaluate(gen: PresPoly, bound: int) -> QKElement:
     # quotient line is (1 - q_2) e_n(T).
     def apply_op(kind, x):
         if kind == "sub":
-            return line_bundle_product(orc, ("sub1",), x, bound)
+            return line_bundle_product(orc, ("sub1",), x)
         if kind == "det":
-            return line_bundle_product(orc, ("det", 2), x, bound)
+            return line_bundle_product(orc, ("det", 2), x)
         if kind == "quot-det":
-            y = line_bundle_solve(
-                orc, ("sub1",), line_bundle_product(orc, ("det", 2), x, bound), bound)
+            y = line_bundle_solve(orc, ("sub1",), line_bundle_product(orc, ("det", 2), x))
             return y * unit_series(1)
-        return line_bundle_solve(orc, ("det", 2), x, bound) * etop * unit_series(2)
+        return line_bundle_solve(orc, ("det", 2), x) * etop * unit_series(2)
 
     def plain_class(name):
         kind, rest = name[1], name[2:]

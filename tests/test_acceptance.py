@@ -61,7 +61,7 @@ def test_criterion_01_classical_presentation_dimensions():
     for (n, ranks), expected in cases:
         space = FlagSpace(n, ranks)
         spec = ideal_generators(space, "classical")
-        dim = groebner_dimension(spec, seeds=(0, 1))
+        dim = groebner_dimension(spec, seed=0)
         assert dim == expected
         assert dim == len(min_coset_reps(space))
     assert time.monotonic() - t0 < 30
@@ -139,7 +139,7 @@ def test_criterion_06_determinant_products_from_metric_inversion():
         for i in (1, 2):
             quot_det = bundle_quotient_class(space, i, quot_rank[i])
             lhs = line_bundle_product(
-                oracle, ("det", i), embed_classical(quot_det, bound), bound)
+                oracle, ("det", i), embed_classical(quot_det, bound))
             e_i = tuple(1 if a == i - 1 else 0 for a in range(2))
             one_minus_qi = QSeries(2, n, bound, {
                 (0, 0): LaurentPolynomial.one(n),

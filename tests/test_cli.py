@@ -223,7 +223,10 @@ def test_verify_coulomb(capsys):
     # runs line_bundle_solve through psi
     ("verify presentation --n 4 --ranks 1,3 --qdeg 1",
      "12ca94635cdaa5860d10612b1827cfc367084e941a6c2cd9cbb797314f7ced66"),
-], ids=["incidence", "presentation"])
+    # a nonzero seed specializes the weights at seeds 5 and 6
+    ("verify presentation --n 4 --ranks 1,3 --qdeg 1 --coeffs seed:5",
+     "95a879bef5c50af5bad603ea27bd391961b04ccd2e1070e69cbc2d2b884a6aa3"),
+], ids=["incidence", "presentation", "presentation-seed5"])
 def test_fl134_verify_digests(capsys, command, digest):
     code, out, _ = run(capsys, *command.split())
     assert code == 0

@@ -232,14 +232,12 @@ def test_quantum_dimension_at_q0_matches_classical():
     for flavor in ("quantum-polynomial", "quantum-power-series"):
         assert groebner_dimension(ideal_generators(INC3, flavor)) == 6
     assert groebner_dimension(ideal_generators(INC4, "quantum-polynomial"),
-                              seeds=(3, 7)) == 12
+                              seed=3) == 12
 
 
 def test_exact_dimension_mode():
-    assert groebner_dimension(ideal_generators(INC3, "classical"),
-                              exact=True) == 6
-    assert groebner_dimension(ideal_generators(INC4, "classical"),
-                              exact=True) == 12
+    assert groebner_dimension(ideal_generators(INC3, "classical"), seed=None) == 6
+    assert groebner_dimension(ideal_generators(INC4, "classical"), seed=None) == 12
     # the engine runs over Laurent coefficients, and a presentation
     # polynomial holds nothing else: a fraction, or a Laurent polynomial in
     # the torus weights alone, is refused as a coefficient
@@ -269,7 +267,7 @@ def test_exact_dimension_matches_seeded(space, flavor, dim):
     # Fl(1,3;5) and Fl(2,3;5) the exact basis has leading coefficients such
     # as e_1(T) that are no unit, so it pseudo-reduces
     spec = ideal_generators(space, flavor)
-    assert groebner_dimension(spec, exact=True) == groebner_dimension(spec) == dim
+    assert groebner_dimension(spec, seed=None) == groebner_dimension(spec) == dim
 
 
 def _seeded_classical(space):
@@ -343,7 +341,7 @@ def test_non_unit_leading_coefficient_is_pseudo_reduced(capsys, monkeypatch):
             (True, 0, []),
             (False, 1, [{"relation": "critical-locus-1",
                          "remainder": "(-1)*eX2_1 + (1)*eY1_1"}])]:
-        assert groebner_dimension(ideal_generators(INC3, "classical"), exact=True) == 6
+        assert groebner_dimension(ideal_generators(INC3, "classical"), seed=None) == 6
         assert dispatch(["verify", "coulomb", "--n", "3"]) == code
         out, err = capsys.readouterr()
         assert json.loads(out)["witnesses"] == witnesses
