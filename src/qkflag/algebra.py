@@ -161,17 +161,13 @@ class LaurentPolynomial:
             return LaurentPolynomial.constant(self.nvars, other)
         return NotImplemented
 
-    def __add__(self, other):
+    def __add__(self, other, sign=1):
+        """self + sign * other, for a sign +-1, in one pass."""
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
         out = dict(self.terms)
-        for e, c in other.terms.items():
-            s = out.get(e, 0) + c
-            if s:
-                out[e] = s
-            elif e in out:
-                del out[e]
+        _add_terms(out, other.terms, sign)
         return _laurent(self.nvars, out, max(self._bound, other._bound))
 
     __radd__ = __add__
@@ -180,10 +176,7 @@ class LaurentPolynomial:
         return _laurent(self.nvars, {e: -c for e, c in self.terms.items()}, self._bound)
 
     def __sub__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self + (-other)
+        return self.__add__(other, -1)
 
     def __rsub__(self, other):
         return (-self) + other
@@ -201,14 +194,7 @@ class LaurentPolynomial:
             out = {e1 + e2: c1 * c2 for e2, c2 in b.items()}
         else:
             out = {}
-            for e1, c1 in a.items():
-                for e2, c2 in b.items():
-                    e = e1 + e2
-                    s = out.get(e, 0) + c1 * c2
-                    if s:
-                        out[e] = s
-                    elif e in out:
-                        del out[e]
+            _add_products(out, a, b)
         return _laurent(self.nvars, out, self._bound + other._bound)
 
     __rmul__ = __mul__
@@ -272,6 +258,56 @@ class LaurentPolynomial:
             return self
         bound = self._bound + max(map(abs, delta))
         return _laurent(self.nvars, {e + moved: c for e, c in self.terms.items()}, bound)
+
+
+def _add_terms(out: dict, terms: dict, sign: int) -> None:
+    """out += sign * terms over packed terms, in place; zero sums leave out."""
+    get = out.get
+    for e, c in terms.items():
+        s = get(e, 0) + sign * c
+        if s:
+            out[e] = s
+        elif e in out:
+            del out[e]
+
+
+def _add_products(out: dict, a: dict, b: dict) -> None:
+    """out += a * b over packed terms, in place; zero sums leave out."""
+    get = out.get
+    for e1, c1 in a.items():
+        for e2, c2 in b.items():
+            e = e1 + e2
+            s = get(e, 0) + c1 * c2
+            if s:
+                out[e] = s
+            elif e in out:
+                del out[e]
+
+
+class LaurentSum:
+    """A Laurent polynomial summed in place: ``add(b, a)`` adds a * b, for a
+    sign or a polynomial a, with no intermediate polynomial; ``value()`` ends
+    the sum, handing its dict to the polynomial.  The bound grows as ``+``
+    and ``*`` grow it, so ``value()`` raises ``OverflowError`` where the same
+    sum of polynomials would."""
+
+    __slots__ = ("nvars", "terms", "bound")
+
+    def __init__(self, start: LaurentPolynomial):
+        self.nvars, self.terms, self.bound = start.nvars, dict(start.terms), start._bound
+
+    def add(self, b: LaurentPolynomial, a: "int | LaurentPolynomial" = 1) -> None:
+        if isinstance(a, int):
+            _add_terms(self.terms, b.terms, a)
+            self.bound = max(self.bound, b._bound)
+        else:
+            if len(a.terms) > len(b.terms):
+                a, b = b, a
+            _add_products(self.terms, a.terms, b.terms)
+            self.bound = max(self.bound, a._bound + b._bound)
+
+    def value(self) -> LaurentPolynomial:
+        return _laurent(self.nvars, self.terms, self.bound)
 
 
 def _binomial_shape(b: LaurentPolynomial):
@@ -416,14 +452,15 @@ class QSeries:
             return QSeries(self.k, self.nvars, self.bound, {(0,) * self.k: other})
         return NotImplemented
 
-    def __add__(self, other):
+    def __add__(self, other, sign=1):
+        """self + sign * other, for a sign +-1, in one pass."""
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
         out = dict(self.coeffs)
         for d, c in other.coeffs.items():
             s = out.get(d)
-            s = c if s is None else s + c
+            s = (c if s is None else s + c) if sign > 0 else (-c if s is None else s - c)
             if s.is_zero():
                 out.pop(d, None)
             else:
@@ -440,10 +477,7 @@ class QSeries:
         return r
 
     def __sub__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self + (-other)
+        return self.__add__(other, -1)
 
     def __rsub__(self, other):
         return (-self) + other

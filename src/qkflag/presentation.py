@@ -35,6 +35,7 @@ import random
 
 from .algebra import (
     LaurentPolynomial,
+    LaurentSum,
     QSeries,
     _render_monomial,
     default_names,
@@ -504,6 +505,11 @@ def _coulomb_generators(space: FlagSpace) -> list:
 # 2^15 bounds every term that reduction and S-polynomials form; _monomial and
 # _lcm raise OverflowError at that bound, and no field reaches its guard.
 #
+# Division keeps its pending monomials in a heap of negated keys m - (degree <<
+# 16nv), whose low 16nv bits are m, and sums each Laurent coefficient in place
+# (LaurentSum), built once when its monomial leads or is passed over as zero
+# (heap division: Johnson 1974; Monagan and Pearce 2007).
+#
 # Buchberger's algorithm runs in the Gebauer-Moeller installation of his
 # criteria (Gebauer and Moeller 1988, as in Becker and Weispfenning's UPDATE):
 # each new element drops its pairs whose lcm another new pair's lcm divides
@@ -562,11 +568,21 @@ def _reduce_full(p: dict, basis: list, nv: int) -> dict:
     leading coefficient other than 1 scales what is left by it first, so the
     remainder is that of p times a product of those coefficients."""
     guards, key = _layout(nv)
-    work = dict(p)
+    low = (1 << (_FIELD * nv)) - 1
+    laurent = isinstance(next(iter(p.values()), None), LaurentPolynomial)
+    pending = {e: LaurentSum(c) for e, c in p.items()} if laurent else dict(p)
+    heap = [-key(e) for e in p]
+    heapq.heapify(heap)
     out = {}
-    while work:
-        lead = max(work, key=key)
-        c = work.pop(lead)
+    while heap:
+        lead = heapq.heappop(heap) & low
+        c = pending.pop(lead)
+        if laurent:
+            if not c.terms:
+                continue
+            c = c.value()
+        elif c == 0:
+            continue
         for blt, bterms in basis:
             if not (lead - blt) & guards:
                 break
@@ -575,19 +591,22 @@ def _reduce_full(p: dict, basis: list, nv: int) -> dict:
             continue
         lc = bterms[blt]
         if lc != 1:
-            work = {e: x * lc for e, x in work.items()}
+            pending = {e: LaurentSum(x.value() * lc) if laurent else x * lc
+                       for e, x in pending.items()}
             out = {e: x * lc for e, x in out.items()}
         shift, c = lead - blt, -c
         for be, bc in bterms.items():
             if be == blt:
                 continue
             ke = be + shift
-            prev = work.get(ke)
-            nc = c * bc if prev is None else prev + c * bc
-            if nc == 0:
-                work.pop(ke, None)
+            acc = pending.get(ke)
+            if acc is None:
+                pending[ke] = LaurentSum(c * bc) if laurent else c * bc
+                heapq.heappush(heap, -key(ke))
+            elif laurent:
+                acc.add(bc, c)
             else:
-                work[ke] = nc
+                pending[ke] = acc + c * bc if acc else c * bc   # no 0 + x after a cancel
     return out
 
 

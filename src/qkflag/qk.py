@@ -34,7 +34,7 @@ from functools import lru_cache
 from itertools import product as iter_product
 from operator import le, sub
 
-from .algebra import LaurentPolynomial, QSeries, _grlex_key, t_elem
+from .algebra import LaurentPolynomial, LaurentSum, QSeries, _grlex_key, t_elem
 from .curves import curve_neighborhood_schubert
 from .ktheory import (
     KClass,
@@ -382,9 +382,10 @@ def _triangular_solve(rows: list, rhs: dict) -> dict:
     The q = 0 part must be unitriangular for that order: a term with t = 0
     involves only unknowns of earlier rows.  Callers check this.  Every
     degree is then solved in order of total degree by exact substitution,
-    with no division.  Each row's terms are indexed by their shift t once,
-    so a degree d walks only the shifts t <= d (_offsets), and a unit
-    coefficient is subtracted without a multiply.
+    with no division.  Each row's terms are negated and indexed by their
+    shift t once, so a degree d walks only the shifts t <= d (_offsets), and
+    each unknown coefficient sums its subtractions in place (LaurentSum), a
+    unit one without a multiply.
     """
     shape = next(iter(rhs.values()))
     k, n, bound = shape.k, shape.nvars, shape.bound
@@ -394,18 +395,18 @@ def _triangular_solve(rows: list, rhs: dict) -> dict:
     for r, terms in rows:
         by_shift: dict = {}
         for t, c, a in terms:
-            by_shift.setdefault(t, []).append((sol[c], None if a.is_one() else a))
+            by_shift.setdefault(t, []).append((sol[c], -1 if a.is_one() else -a))
         indexed.append((r, sol[r], rhs[r].coeffs, by_shift))
     for dcur, shifts in _offsets(k, bound):
         for r, out, b, by_shift in indexed:
-            acc = b.get(dcur, zero)
+            acc = LaurentSum(b.get(dcur, zero))
             for t, src in shifts:
                 for x, a in by_shift.get(t, ()):
                     sv = x.get(src)
                     if sv is not None:
-                        acc = acc - (sv if a is None else a * sv)
-            if not acc.is_zero():
-                out[dcur] = acc
+                        acc.add(sv, a)
+            if acc.terms:
+                out[dcur] = acc.value()
     return {r: QSeries(k, n, bound, sol[r]) for r in sol}
 
 

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from qkflag.algebra import (
     LaurentPolynomial,
+    LaurentSum,
     QSeries,
     _binomial_shape,
     _pack,
@@ -88,6 +89,54 @@ def test_multiplication_commutes(a, b):
 @given(laurent_polys())
 def test_additive_inverse(a):
     assert (a - a).is_zero()
+
+
+_STEPS = st.lists(st.tuples(st.sampled_from("+-*"), laurent_polys(), laurent_polys()),
+                  max_size=5)
+
+
+@given(laurent_polys(), _STEPS, st.booleans())
+def test_laurent_sum_matches_ring_operations(start, steps, cancel):
+    # each step adds b, subtracts b or adds a * b in place; the materialised
+    # sum equals the same sum of polynomials, bound included, and the start
+    # is left as it was
+    kept = LaurentPolynomial(2, dict(start._items()))
+    s, ref = LaurentSum(start), start
+    for op, a, b in steps:
+        if op == "*":
+            s.add(b, a)
+            ref = ref + a * b
+        elif op == "+":
+            s.add(b)
+            ref = ref + b
+        else:
+            s.add(b, -1)
+            ref = ref - b
+    if cancel:
+        # the whole sum cancels to zero
+        s.add(ref, -1)
+        ref = ref - ref
+    value = s.value()
+    assert value == ref and value._bound == ref._bound
+    assert start == kept
+
+
+@given(st.integers(2 ** 29, 2 ** 31 - 1), st.booleans())
+def test_laurent_sum_keeps_the_overflow_contract(e, cancel):
+    # a + b*c raises once b*c could leave a field; so does the in-place sum,
+    # even when the products cancel and no term is left
+    x, one = LaurentPolynomial.variable(2, 1, e), LaurentPolynomial.one(2)
+    s = LaurentSum(one)
+    s.add(x, x)
+    if cancel:
+        s.add(x, -x)
+    if 2 * e >= 2 ** 31:
+        with pytest.raises(OverflowError):
+            one + x * x
+        with pytest.raises(OverflowError):
+            s.value()
+    else:
+        assert s.value() == (one if cancel else one + x * x)
 
 
 def test_monomial_unit_inverse():

@@ -320,6 +320,96 @@ def test_groebner_basis_invariants(make_gens):
                        for j, b in enumerate(leads) if j != i)
 
 
+def _reduce_by_max_scan(p, basis, nv):
+    # the division loop before heap division: the lead is the max of the
+    # working dict, and each update builds a new coefficient
+    guards, key = presentation._layout(nv)
+    work = dict(p)
+    out = {}
+    while work:
+        lead = max(work, key=key)
+        c = work.pop(lead)
+        for blt, bterms in basis:
+            if not (lead - blt) & guards:
+                break
+        else:
+            out[lead] = c
+            continue
+        lc = bterms[blt]
+        if lc != 1:
+            work = {e: x * lc for e, x in work.items()}
+            out = {e: x * lc for e, x in out.items()}
+        shift, c = lead - blt, -c
+        for be, bc in bterms.items():
+            if be == blt:
+                continue
+            ke = be + shift
+            prev = work.get(ke)
+            nc = c * bc if prev is None else prev + c * bc
+            if nc == 0:
+                work.pop(ke, None)
+            else:
+                work[ke] = nc
+    return out
+
+
+def _random_division(rng, nv, laurent, monic):
+    # a basis of random elements (each led by its largest monomial) and a
+    # dividend that is a random combination of their multiples plus junk,
+    # so that many pending sums cancel
+    key = presentation._layout(nv)[1]
+    one = LaurentPolynomial.one(2)
+
+    def coeff():
+        if not laurent:
+            return Fraction(rng.randint(-4, 4), rng.randint(1, 3))
+        return LaurentPolynomial(2, {(rng.randint(-1, 1), rng.randint(-1, 1)): rng.randint(-2, 2)
+                                     for _ in range(rng.randint(1, 2))})
+
+    def poly(terms):
+        p = {}
+        for _ in range(terms):
+            e = presentation._monomial(tuple(rng.randint(0, 2) for _ in range(nv)))
+            c = coeff()
+            p[e] = p[e] + c if e in p else c
+        return {e: c for e, c in p.items() if c != 0}
+
+    basis = []
+    for _ in range(rng.randint(1, 4)):
+        g = poly(rng.randint(1, 4))
+        if not g:
+            continue
+        lead = max(g, key=key)
+        if monic:
+            g[lead] = one if laurent else Fraction(1)
+        basis.append((lead, g))
+    p = poly(rng.randint(0, 5))
+    for lead, g in basis:
+        m = presentation._monomial(tuple(rng.randint(0, 1) for _ in range(nv)))
+        c = coeff()
+        for e, x in g.items():
+            p[e + m] = p.get(e + m, 0) + c * x
+    return {e: c for e, c in p.items() if c != 0}, basis
+
+
+@pytest.mark.parametrize("laurent,monic", [(True, True), (False, True), (True, False),
+                                           (False, False)],
+                         ids=["laurent", "fraction", "laurent-pseudo", "fraction-pseudo"])
+def test_heap_division_matches_max_scan(laurent, monic):
+    rng = random.Random(23 + 2 * laurent + monic)
+    nv = 3
+    for _ in range(150):
+        p, basis = _random_division(rng, nv, laurent, monic)
+        assert presentation._reduce_full(p, basis, nv) == _reduce_by_max_scan(p, basis, nv)
+    # x*y - y^2 by x - y: the update of y^2 cancels it before it leads
+    x, y = presentation._monomial((1, 0, 0)), presentation._monomial((0, 1, 0))
+    one = LaurentPolynomial.one(2) if laurent else Fraction(1)
+    lc = one if monic else one * 2
+    basis = [(x, {x: lc, y: -one})]
+    p = {x + y: lc, 2 * y: -one}
+    assert presentation._reduce_full(p, basis, nv) == _reduce_by_max_scan(p, basis, nv) == {}
+
+
 def test_non_unit_leading_coefficient_is_pseudo_reduced(capsys, monkeypatch):
     # doubling the first generator keeps the ideal over the function field,
     # but its leading coefficient 2 divides none of the +-1 in the Laurent
