@@ -781,7 +781,7 @@ def _render_member(p: dict, names: list) -> str:
     return " + ".join(pieces) if pieces else "0"
 
 
-def coulomb_equivalence(space: FlagSpace, negative_control: bool = False) -> dict:
+def coulomb_equivalence(space: FlagSpace) -> dict:
     """Check that the critical-locus relations present the same ideal.
 
     Auxiliary variables are eliminated by their closed-form images: e_l of
@@ -792,8 +792,6 @@ def coulomb_equivalence(space: FlagSpace, negative_control: bool = False) -> dic
     unit factors, since those are invertible wherever the presentations are
     compared.  Membership is decided by reduction modulo a Groebner basis
     of the Whitney ideal, over the function field in the torus weights.
-    ``negative_control`` omits the 1/(1 - q_1) factor, which must break
-    membership.
     """
     if not space.is_incidence:
         raise ValueError("critical-locus comparison needs an incidence variety")
@@ -804,7 +802,7 @@ def coulomb_equivalence(space: FlagSpace, negative_control: bool = False) -> dic
     images = {nm: pres_var(space, nm) for nm in pres_names(space)}
     for ell in range(1, n - 1):
         img = pres_var(space, f"eY1_{ell}")
-        if ell == n - 2 and not negative_control:
+        if ell == n - 2:
             img = _over_unit(img, 1)
         images[f"eXbar1_{ell}"] = img
     images["Xbar2_1"] = _over_unit(pres_var(space, "eY2_1"), 2)

@@ -91,18 +91,13 @@ class GWOracle:
 
     The incidence and Grassmannian modes are proven; the full-flag mode is
     conjectural and everything derived from it must be reported as
-    conditional.  drop_vanishing lists flag steps whose vanishing rule is
-    suppressed in favor of the classical curve-neighborhood value; it exists
-    only to drive the mutated-oracle negative controls in the verification
-    reports.
+    conditional.
     """
 
     mode: str
     space: FlagSpace
-    drop_vanishing: tuple[int, ...] = ()
 
     def __post_init__(self):
-        object.__setattr__(self, "drop_vanishing", tuple(self.drop_vanishing))
         if self.mode not in _MODES:
             raise ValueError(f"unknown oracle mode {self.mode!r}")
         space = self.space
@@ -125,16 +120,15 @@ def _check_licence(oracle: GWOracle, j: int):
         )
 
 
-def _vanishes(d: Degree, j: int, dropped: bool) -> bool:
+def _vanishes(d: Degree, j: int) -> bool:
     """The vanishing rule: <det S_j, sigma, O_w>_d = 0 whenever d_j > 0.
 
     On incidence varieties Fl(1, n-1; n) and on Grassmannians the rule is
     a theorem.  On the complete flag variety it follows from the quantum K
     divisor axiom conjectured by Buch and Mihalcea, so there it is a
     conjecture and everything resting on it is reported as conditional.
-    dropped suppresses the rule on step j, which only the mutated-oracle
-    negative controls do.  det S_0 = O (j = 0) has no step to vanish on."""
-    return j > 0 and d[j - 1] > 0 and not dropped
+    det S_0 = O (j = 0) has no step to vanish on."""
+    return j > 0 and d[j - 1] > 0
 
 
 def _divisor_char(oracle: GWOracle, j: int, sigma: KClass, w: Perm,
@@ -142,7 +136,7 @@ def _divisor_char(oracle: GWOracle, j: int, sigma: KClass, w: Perm,
     space = oracle.space
     _check_licence(oracle, j)
     d = _check_effective(space, d)
-    if _vanishes(d, j, j in oracle.drop_vanishing):
+    if _vanishes(d, j):
         return LaurentPolynomial.zero(space.n)
     g = curve_neighborhood_schubert(space, w, d)
     return euler_char(det_class(space, j) * sigma * schubert_class(space, g, "B"))
@@ -213,7 +207,7 @@ def _neighborhoods(space: FlagSpace, bound: int) -> dict:
     return out
 
 
-def _pairing_vector(j: int, dropped: bool, sigma: KClass, bound: int) -> "QKElement":
+def _pairing_vector(j: int, sigma: KClass, bound: int) -> "QKElement":
     """sum_d q^d <det S_j, sigma, O_u>_d at every basis label u of sigma's
     space, read off one pairings expansion of det S_j * sigma at the labels
     Gamma_d(u) over the degrees the vanishing rule allows.  j = 0 gives the
@@ -222,7 +216,7 @@ def _pairing_vector(j: int, dropped: bool, sigma: KClass, bound: int) -> "QKElem
     b = pairings(det_class(space, j) * sigma)
     return QKElement(space, bound, {
         u: QSeries(space.k, space.n, bound, {d: b[g] for d, g in labels
-                                             if not _vanishes(d, j, dropped)})
+                                             if not _vanishes(d, j)})
         for u, labels in _neighborhoods(space, bound).items()
     })
 
@@ -411,8 +405,7 @@ def _triangular_solve(rows: list, rhs: dict) -> dict:
 
 
 @lru_cache(maxsize=None)
-def _det_column(space: FlagSpace, j: int, dropped: bool, bound: int,
-                w: Perm) -> QKElement:
+def _det_column(space: FlagSpace, j: int, bound: int, w: Perm) -> QKElement:
     """det S_j * O_w through the factored metric, in the O_w basis.
 
     The metric is sum_d q^d P_d Z and the three-point column is
@@ -426,11 +419,10 @@ def _det_column(space: FlagSpace, j: int, dropped: bool, bound: int,
     Moebius function of Bruhat order (Verma; Deodhar for parabolic
     quotients) and s_h = y_h - sum_{v < h} s_v takes additions only, walking
     the labels up in length.  The column is sum_h s_h * C_h over the sparse
-    O_w expansions C_h of O^h, read only where s_h != 0.  dropped selects
-    the mutated vanishing rule on step j.
+    O_w expansions C_h of O^h, read only where s_h != 0.
     """
     one = LaurentPolynomial.one(space.n)
-    column = _pairing_vector(j, dropped, schubert_class(space, w, "B"), bound)
+    column = _pairing_vector(j, schubert_class(space, w, "B"), bound)
     rows = [(u, [(d, g, one) for d, g in labels if any(d)])
             for u, labels in _neighborhoods(space, bound).items()]
     rhs = {u: column.at(u) for u, _ in rows}
@@ -469,18 +461,17 @@ def line_bundle_product(oracle: GWOracle, L, sigma: QKElement) -> QKElement:
     L = c0 + c1 det S_j the c0 part is c0 * sigma outright, since solving
     the metric against sigma's own pairings returns sigma.  The c1 part is
     sum_w sigma_w * (det S_j * O_w): the truncated solve is K_T(pt)[q]-linear,
-    so each column det S_j * O_w is solved once per (space, j, vanishing
-    rule, bound) through the factored metric P * Z and cached, and only the
-    columns sigma touches are ever solved.
+    so each column det S_j * O_w is solved once per (space, j, bound, w)
+    through the factored metric P * Z and cached, and only the columns
+    sigma touches are ever solved.
     """
     space, bound = oracle.space, sigma.bound
     c0, c1, j = _line_operands(oracle, L, sigma)
     if c1.is_zero():
         return sigma * c0
-    dropped = j in oracle.drop_vanishing
     acc = QKElement(space, bound, {})
     for w, qs in sigma.coords.items():
-        acc = acc + _det_column(space, j, dropped, bound, w) * qs
+        acc = acc + _det_column(space, j, bound, w) * qs
     return sigma * c0 + acc * c1
 
 
@@ -568,8 +559,7 @@ def _diff_witnesses(witnesses: list, diffs: dict):
                     })
 
 
-def verify_qk_whitney(space: FlagSpace, bound: int,
-                      negative_control: bool = False) -> dict:
+def verify_qk_whitney(space: FlagSpace, bound: int) -> dict:
     """Check the quantized Whitney relations on an incidence variety.
 
     The two relation families, splitting S_2 through the rank-one subbundle
@@ -580,15 +570,12 @@ def verify_qk_whitney(space: FlagSpace, bound: int,
     and degree, degree-shifted corrections included.  Ring level: embedded
     classes and products through the metric reproduce the corrected
     right-hand sides, and the rank-two series identity follows mechanically
-    from the same product table.  With negative_control the oracle drops the
-    vanishing rule on the second step, which deletes the q_2 corrections and
-    must be caught.
+    from the same product table.
     """
     if not space.is_incidence:
         raise ValueError("this check runs on incidence varieties")
     n = space.n
-    oracle = GWOracle("incidence-proven", space,
-                      drop_vanishing=(2,) if negative_control else ())
+    oracle = GWOracle("incidence-proven", space)
     witnesses: list = []
 
     sub2 = [bundle_class(space, 2, m) for m in range(n + 1)]
@@ -624,8 +611,8 @@ def verify_qk_whitney(space: FlagSpace, bound: int,
     # invariant level: witnesses by label, then degree, then relation
     _diff_witnesses(witnesses, relations(
         "invariants",
-        lambda cls: _pairing_vector(0, False, cls, bound),
-        lambda j, cls: _pairing_vector(j, j in oracle.drop_vanishing, cls, bound)))
+        lambda cls: _pairing_vector(0, cls, bound),
+        lambda j, cls: _pairing_vector(j, cls, bound)))
     # ring level: witnesses by relation, then label and degree
     products = relations(
         "products", embed,
@@ -685,8 +672,7 @@ def _word_images(space: FlagSpace, requests: list):
     return image
 
 
-def verify_flag_reduction(nmax: int, bound: int,
-                          negative_control: bool = False) -> dict:
+def verify_flag_reduction(nmax: int, bound: int) -> dict:
     """Unconditional checks behind the complete-flag reduction.
 
     For each n up to nmax: the degree-lowering surgery on the neighborhood
@@ -694,9 +680,8 @@ def verify_flag_reduction(nmax: int, bound: int,
     wedge of S_i at degree d matches the image of the wedge of S_{i-1} at
     the lowered degree, and the classical pairing identity that splits
     det S_i times a wedge difference against det S_{i+1} holds over every
-    saturated label.  With negative_control the surgery skips its factor
-    adjustment and the word comparison must fail.  Below truncation 1 the
-    degree-drop checks have no degree to run on, so it is refused.
+    saturated label.  Below truncation 1 the degree-drop checks have no
+    degree to run on, so it is refused.
     """
     if nmax < 3:
         raise ValueError("need nmax >= 3")
@@ -714,8 +699,7 @@ def verify_flag_reduction(nmax: int, bound: int,
             for i in range(1, n):
                 if d[i - 1] == 0 or (i <= n - 2 and d[i] != 0):
                     continue
-                zrep = z_d_replace_factor(space, d, i,
-                                          skip_replacement=negative_control)
+                zrep = z_d_replace_factor(space, d, i)
                 word_full, word_rep = reduced_word(z_d(space, d)), reduced_word(zrep)
                 drops.append((d, i, zrep, word_full, word_rep))
                 for ell in range(1, i + 1):

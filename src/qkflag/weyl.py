@@ -394,9 +394,7 @@ def z_d_choices(space: FlagSpace, d: Degree) -> frozenset[Perm]:
     return _z_d_choices(space, _check_effective(space, d))
 
 
-def z_d_replace_factor(
-    space: FlagSpace, d: Degree, i: int, *, skip_replacement: bool = False
-) -> Perm:
+def z_d_replace_factor(space: FlagSpace, d: Degree, i: int) -> Perm:
     """Lower a full-flag degree at the simple root i by factor surgery.
 
     Requires d_i > 0 and d_{i+1} = 0 (no constraint beyond the last
@@ -406,8 +404,7 @@ def z_d_replace_factor(
     chain sits at the end in reversed peel order, the innermost chain
     factor is the designated one; replacing its reflection root
     e_a - e_{i+1} by e_a - e_i (dropping it when a = i) produces the
-    element for d - alpha_i. With skip_replacement the untouched
-    product, which is z_d itself, is returned instead.
+    element for d - alpha_i.
     """
     if not space.is_full:
         raise ValueError("factor surgery is defined on the complete flag variety")
@@ -425,11 +422,8 @@ def z_d_replace_factor(
                            f"do not form a chain ending at {i + 1}")
     arranged = list(reversed(others)) + list(reversed(chain))
     prods = [r.to_perm(n) for r in arranged]
-    check = reduce(demazure_product, prods, identity(n))
-    if check != _z_d(space, d):
+    if reduce(demazure_product, prods, identity(n)) != _z_d(space, d):
         raise RuntimeError(f"the rearranged peels of degree {d} do not multiply to z_d")
-    if skip_replacement:
-        return check
     # in peel order the chain's left endpoints weakly increase, so the
     # designated factor (last peeled) has the innermost support
     if any(x.a > y.a for x, y in zip(chain, chain[1:])):

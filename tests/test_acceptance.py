@@ -208,16 +208,17 @@ def test_criterion_09_conditional_complete_flag_mode():
     report_line(9, "conditional-full-flag", t0)
 
 
-def test_criterion_10_negative_controls():
+def test_criterion_10_negative_controls(drop_vanishing, skip_surgery, drop_unit):
     t0 = time.monotonic()
     space = FlagSpace(3, (1, 2))
-    dropped_q2 = verify_qk_whitney(space, 2, negative_control=True)
+    with drop_vanishing(2):
+        dropped_q2 = verify_qk_whitney(space, 2)
     assert dropped_q2["status"] == "FAIL"
     assert len(dropped_q2["witnesses"]) >= 1
-    skipped_adjustment = verify_flag_reduction(3, 2, negative_control=True)
+    skipped_adjustment = verify_flag_reduction(3, 2)
     assert skipped_adjustment["status"] == "FAIL"
     assert len(skipped_adjustment["witnesses"]) >= 1
-    dropped_unit = coulomb_equivalence(space, negative_control=True)
+    dropped_unit = coulomb_equivalence(space)
     assert dropped_unit["status"] == "FAIL"
     assert len(dropped_unit["witnesses"]) >= 1
     report_line(10, "negative-controls", t0)

@@ -1,7 +1,6 @@
 """Dispatch-level tests for the command-line front end."""
 
 import ast
-import functools
 import hashlib
 import json
 import os
@@ -28,6 +27,12 @@ def run(capsys, *argv):
 def run_json(capsys, *argv):
     code, out, err = run(capsys, *argv)
     return code, json.loads(out), err
+
+
+def child_env():
+    # a child interpreter imports the library from the same source tree
+    src = pathlib.Path(qkflag.qk.__file__).parent.parent
+    return {**os.environ, "PYTHONPATH": str(src)}
 
 
 # -- the three documented invocations ---------------------------------------
@@ -111,11 +116,30 @@ def test_integral_commands_do_not_import_sympy(command):
              "with contextlib.redirect_stdout(io.StringIO()):\n"
              f"    code = dispatch({command.split()!r})\n"
              "print(code, 'sympy' in sys.modules)\n")
-    src = pathlib.Path(qkflag.qk.__file__).parent.parent
-    env = {**os.environ, "PYTHONPATH": str(src)}
-    done = subprocess.run([sys.executable, "-c", probe], env=env,
+    done = subprocess.run([sys.executable, "-c", probe], env=child_env(),
                           capture_output=True, text=True, timeout=300)
     assert done.stdout.split() == ["0", "False"], done.stderr
+
+
+@pytest.mark.parametrize("command, digest", [
+    ("verify incidence --n 3 --qdeg 2",
+     "595a6628c9a410713bf4654006d448f9168efced60042e3eac138594108d0983"),
+    ("verify coulomb --n 3",
+     "31dd7ca06ba7ed800035dac73f565bcc0f9556809e0ea803fb55ce4fc0a9b9ff"),
+    ("verify flag-reduction --n 4",
+     "0e4f1917d2a71eb386aaacb4612edf491080885037a19da20932a36b610f6c4f"),
+], ids=["incidence", "coulomb", "flag-reduction"])
+def test_verifications_hold_under_python_O(command, digest):
+    # python -O strips assert statements; no check may rest on one, so the
+    # optimised run prints the same verdict and exits the same way
+    plain, optimised = (
+        subprocess.run([sys.executable, *flags, "-m", "qkflag", *command.split()],
+                       env=child_env(), capture_output=True, text=True, timeout=300)
+        for flags in ([], ["-O"]))
+    assert (optimised.returncode, optimised.stdout) == \
+        (plain.returncode, plain.stdout), optimised.stderr
+    assert plain.returncode == 0, plain.stderr
+    assert hashlib.sha256(plain.stdout.encode()).hexdigest() == digest
 
 
 # -- payload structure -------------------------------------------------------
@@ -424,20 +448,17 @@ def test_usage_errors_exit_2(capsys, argv):
         assert "the incidence variety needs n >= 3" in err
 
 
-def test_internal_error_exits_4(capsys, monkeypatch):
+def test_internal_error_exits_4(capsys, monkeypatch, fresh_qk_caches):
     # curve neighborhoods that all land on the top label leave the factor P
     # of the quantum metric without its unit diagonal: a bug, not a usage
     # error
     def broken_neighborhood(space, w, d):
         return min_coset_reps(space)[-1]
 
+    # labels and solved columns are cached; fresh_qk_caches makes the product
+    # really read the broken labels
     monkeypatch.setattr(qkflag.qk, "curve_neighborhood_schubert",
                         broken_neighborhood)
-    # labels and solved columns are cached; start from empty caches so that
-    # the product really reads the broken labels
-    for name in ("_neighborhoods", "_det_column"):
-        monkeypatch.setattr(qkflag.qk, name, functools.lru_cache(
-            maxsize=None)(getattr(qkflag.qk, name).__wrapped__))
     code, out, err = run(capsys, "product", "--n", "3", "--L", "detS2",
                          "--sigma", "O:213")
     assert code == 4

@@ -543,8 +543,8 @@ def test_coulomb_equivalence_passes():
     assert rep["witnesses"] == []
 
 
-def test_coulomb_negative_control_fails():
-    rep = coulomb_equivalence(INC3, negative_control=True)
+def test_coulomb_negative_control_fails(drop_unit):
+    rep = coulomb_equivalence(INC3)
     assert rep["status"] == "FAIL"
     assert rep["witnesses"]
     for wit in rep["witnesses"]:
@@ -553,7 +553,7 @@ def test_coulomb_negative_control_fails():
         assert wit["remainder"] != "0"
 
 
-def test_coulomb_negative_control_witnesses_pinned():
+def test_coulomb_negative_control_witnesses_pinned(drop_unit):
     # the remainders are normal forms modulo the Groebner basis, so a change
     # to the reduction path must reproduce them byte for byte
     pins = [
@@ -563,7 +563,7 @@ def test_coulomb_negative_control_witnesses_pinned():
          "f4ccaca855fbd4cab13a34278a00a8d5ce0bb8a525cb1cfb77378e8560873731"),
     ]
     for space, relations, want in pins:
-        rep = coulomb_equivalence(space, negative_control=True)
+        rep = coulomb_equivalence(space)
         assert [w["relation"] for w in rep["witnesses"]] == relations
         digest = hashlib.sha256(json.dumps(rep["witnesses"], sort_keys=True).encode()).hexdigest()
         assert digest == want, space

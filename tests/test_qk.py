@@ -7,7 +7,6 @@ degree-zero sector is classical and that pairings against a determinant
 line vanish in positive degree along its own step.
 """
 
-import functools
 import hashlib
 import json
 
@@ -180,23 +179,24 @@ def test_invariant_values_are_laurent():
                 assert isinstance(value, LaurentPolynomial) and value.nvars == 3
 
 
-def test_pairing_vectors_match_single_invariants():
+def test_pairing_vectors_match_single_invariants(drop_vanishing):
     # a table read off one expansion per class must agree with the
-    # single-value route, one euler_char per (u, d)
+    # single-value route, one euler_char per (u, d), with the vanishing rule
+    # on step j kept and dropped
     for space, bound in [(FL3, 2), (FL134, 1)]:
         sigma = bundle_class(space, 2, 1)
+        oracle = GWOracle("incidence-proven", space)
         for j in (0, 1, 2):
-            for dropped in (False, True):
-                vec = qk._pairing_vector(j, dropped, sigma, bound)
-                oracle = GWOracle("incidence-proven", space,
-                                  drop_vanishing=(j,) if dropped else ())
-                for u in min_coset_reps(space):
-                    for d in degree_box(2, bound):
-                        if j == 0:
-                            expected = gw2(sigma, u, d)
-                        else:
-                            expected = gw3_divisor(oracle, ("det", j), sigma, u, d)
-                        assert vec.at(u).coeffs.get(d, laurent(0, space.n)) == expected
+            for dropped in ((), (j,)):
+                with drop_vanishing(*dropped):
+                    vec = qk._pairing_vector(j, sigma, bound)
+                    for u in min_coset_reps(space):
+                        for d in degree_box(2, bound):
+                            if j == 0:
+                                expected = gw2(sigma, u, d)
+                            else:
+                                expected = gw3_divisor(oracle, ("det", j), sigma, u, d)
+                            assert vec.at(u).coeffs.get(d, laurent(0, space.n)) == expected
 
 
 def test_quantum_gram_constant_term_is_bruhat_indicator():
@@ -341,7 +341,7 @@ def _whole_vector_det_product(space, j, sigma, bound, mode="incidence-proven"):
     return out
 
 
-def test_det_columns_match_dense_reference():
+def test_det_columns_match_dense_reference(drop_vanishing):
     # each cached column solves the factored metric P * Z; the dense metric
     # is the reference
     for space, bound, mode in [(FL3, 2, "incidence-proven"),
@@ -349,15 +349,17 @@ def test_det_columns_match_dense_reference():
         for j in range(1, space.k + 1):
             for w in min_coset_reps(space):
                 sigma = basis_element(space, w, bound)
-                assert qk._det_column(space, j, False, bound, w) == \
+                assert qk._det_column(space, j, bound, w) == \
                     _whole_vector_det_product(space, j, sigma, bound, mode)
-    # with the vanishing rule dropped P' = P, so the column is classical
+    # with the vanishing rule dropped on every step P' = P, so the column is
+    # classical
     for space, bound in [(FL3, 2), (GR24, 2), (FL134, 1)]:
-        for j in range(1, space.k + 1):
-            for w in min_coset_reps(space):
-                classical = det_class(space, j) * schubert_class(space, w, "B")
-                assert qk._det_column(space, j, True, bound, w) == \
-                    embed_classical(classical, bound)
+        with drop_vanishing(*range(1, space.k + 1)):
+            for j in range(1, space.k + 1):
+                for w in min_coset_reps(space):
+                    classical = det_class(space, j) * schubert_class(space, w, "B")
+                    assert qk._det_column(space, j, bound, w) == \
+                        embed_classical(classical, bound)
 
 
 def test_det_columns_match_dense_dual_recombination():
@@ -379,13 +381,13 @@ def test_det_columns_match_dense_dual_recombination():
             for u, labels in qk._neighborhoods(space, bound).items()]
     for j in range(1, space.k + 1):
         for w in reps:
-            column = qk._pairing_vector(j, False, schubert_class(space, w, "B"), bound)
+            column = qk._pairing_vector(j, schubert_class(space, w, "B"), bound)
             y = qk._triangular_solve(rows, {u: column.at(u) for u, _ in rows})
             coords = {u: QSeries.zero(space.k, space.n, bound) for u in reps}
             for g, yg in y.items():
                 for u, c in dual[g].items():
                     coords[u] = coords[u] + yg * c
-            assert qk._det_column(space, j, False, bound, w) == \
+            assert qk._det_column(space, j, bound, w) == \
                 QKElement(space, bound, coords)
 
 
@@ -485,19 +487,22 @@ def test_products_are_compatible_with_truncation():
         assert _truncate(high, 1) == low
 
 
-def test_mutated_oracle_caught_after_proven_columns_are_cached():
-    # solved columns are cached per vanishing rule: warming the det S_2
-    # columns with the proven oracle must not hide the mutated one
+def test_mutated_oracle_caught_after_proven_columns_are_cached(drop_vanishing):
+    # solved columns are cached with no mark of the vanishing rule: warming
+    # the det S_2 columns with the proven oracle must not hide the mutated
+    # one, and the mutated columns must not outlive it
     proven = GWOracle("incidence-proven", FL134)
     for w in min_coset_reps(FL134):
         line_bundle_product(proven, ("det", 2), basis_element(FL134, w, 2))
-    report = verify_qk_whitney(FL134, 2, negative_control=True)
+    with drop_vanishing(2):
+        report = verify_qk_whitney(FL134, 2)
     assert report["status"] == "FAIL"
     assert all(wit["d"][1] > 0 for wit in report["witnesses"])
     # the invariant-level relations read no cached column; the product-level
     # ones must fail too
     relations = {wit["relation"] for wit in report["witnesses"]}
     assert {"det-wedge-products", "quotient-series-rearrangement"} <= relations
+    assert verify_qk_whitney(FL134, 2)["status"] == "PASS"
 
 
 def test_oracle_licensing():
@@ -569,8 +574,10 @@ def test_whitney_verification_passes(monkeypatch):
     (FL134, 1, "f1887c3e39516f8edd776437b755a2d747a20eb8d20cafbc017ddda71ab1c395"),
     (FL134, 2, "338539ffbe16ec5738f33dace5f391e1ee2cc92406b372e4f070aa69a9d33a50"),
 ], ids=["fl123-qdeg2", "fl134-qdeg1", "fl134-qdeg2"])
-def test_whitney_verification_catches_mutated_oracle(space, bound, digest):
-    report = verify_qk_whitney(space, bound, negative_control=True)
+def test_whitney_verification_catches_mutated_oracle(space, bound, digest,
+                                                     drop_vanishing):
+    with drop_vanishing(2):
+        report = verify_qk_whitney(space, bound)
     assert report["status"] == "FAIL"
     assert len(report["witnesses"]) >= 1
     for wit in report["witnesses"]:
@@ -590,24 +597,31 @@ def test_flag_reduction_passes():
     assert report["check"] == "flag-reduction"
 
 
-def test_flag_reduction_catches_skipped_surgery():
-    report = verify_flag_reduction(3, 2, negative_control=True)
-    assert report["status"] == "FAIL"
-    relations = {wit["relation"] for wit in report["witnesses"]}
-    assert "degree-drop-word" in relations
+def test_flag_reduction_catches_skipped_surgery(skip_surgery):
+    for nmax, bound, digest in [
+        (3, 2, "395943866c283e4995fbe0a5428429eebeac74a81e17317d1200d6e00644b54c"),
+        (4, 1, "a26e04206d8bb10335fe7eef804c97709e48408ec9175f2504290f73e66d6566"),
+    ]:
+        report = verify_flag_reduction(nmax, bound)
+        assert report["status"] == "FAIL"
+        relations = {wit["relation"] for wit in report["witnesses"]}
+        assert "degree-drop-word" in relations
+        # the witnesses, their order and the report shape are pinned
+        pinned = hashlib.sha256(json.dumps(report, sort_keys=True).encode()).hexdigest()
+        assert pinned == digest, nmax
 
 
 def _relations(report):
     return {wit["relation"] for wit in report["witnesses"]}
 
 
-def test_whitney_catches_mutated_sub_line_invariant(monkeypatch):
+def test_whitney_catches_mutated_sub_line_invariant(monkeypatch, fresh_qk_caches):
     # three-point values through the rank-one subbundle that are off by one
     # must break the invariant-level splitting of S_2
     real = qk._pairing_vector
 
-    def shifted(j, dropped, sigma, bound):
-        out = real(j, dropped, sigma, bound)
+    def shifted(j, sigma, bound):
+        out = real(j, sigma, bound)
         if j != 1:
             return out
         space = sigma.space
@@ -615,12 +629,9 @@ def test_whitney_catches_mutated_sub_line_invariant(monkeypatch):
                        {d: LaurentPolynomial.one(space.n) for d in degree_box(space.k, bound)})
         return out + QKElement(space, bound, {u: ones for u in min_coset_reps(space)})
 
+    # solved columns read the same tables and are cached; fresh_qk_caches
+    # keeps every corrupted column inside this test
     monkeypatch.setattr(qk, "_pairing_vector", shifted)
-    # solved columns read the same tables and are cached; start from empty
-    # caches so that no corrupted column outlives this test
-    for name in ("_neighborhoods", "_det_column"):
-        monkeypatch.setattr(qk, name, functools.lru_cache(
-            maxsize=None)(getattr(qk, name).__wrapped__))
     report = verify_qk_whitney(FL3, 1)
     assert report["status"] == "FAIL"
     assert "sub-line-invariants" in _relations(report)

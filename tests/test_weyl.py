@@ -405,12 +405,13 @@ def test_z_d_replace_factor_matches_direct_recursion():
                 assert z_d_replace_factor(space, d, i) == z_d(space, lowered)
 
 
-def test_z_d_replace_factor_mutation_is_detected():
-    # skipping the factor replacement must reproduce z_d itself, which
-    # differs from the lowered element in the simplest possible case
+def test_z_d_replace_factor_mutation_is_detected(skip_surgery):
+    # skipping the factor replacement leaves z_d itself, which differs from
+    # the lowered element in the simplest possible case
     space = FlagSpace.full(2)
-    kept = z_d_replace_factor(space, (1,), 1, skip_replacement=True)
+    kept = skip_surgery(space, (1,), 1)
     assert kept == z_d(space, (1,))
+    assert kept != z_d_replace_factor(space, (1,), 1)
     assert kept != z_d(space, (0,))
 
 
