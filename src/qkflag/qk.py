@@ -24,15 +24,16 @@ Gamma_d(u) and Z[g][v] = [v <= g] is the Bruhat indicator.  The
 three-point column factors through the same P_d, so products solve the
 factored system P y = P' b, where y holds the classical pairings of the
 product against the O_g.  P is the identity at q = 0, so the truncated
-system solves by substitution with no division, and Z is inverted by the
-Moebius function of Bruhat order, with additions only.  General products of
-two non-line-bundle classes are out of scope.
+system solves degree by degree with no division: each coefficient, once
+solved, is pushed into the pending sums of the rows that read it.  Z is
+inverted by the Moebius function of Bruhat order, with additions only.
+General products of two non-line-bundle classes are out of scope.
 """
 
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import product as iter_product
-from operator import le, sub
+from operator import add
 
 from .algebra import LaurentPolynomial, LaurentSum, QSeries, _grlex_key, t_elem
 from .curves import curve_neighborhood_schubert
@@ -358,13 +359,33 @@ def basis_element(space: FlagSpace, w: Perm, bound: int) -> QKElement:
 
 
 @lru_cache(maxsize=None)
-def _offsets(k: int, bound: int) -> tuple:
-    """Each degree d of degree_box(k, bound), in order, with the pairs
-    (t, d - t) over the degrees t <= d componentwise, t in degree_box
-    order: the only shifts of d whose source degree is effective."""
+def _forward(k: int, bound: int) -> tuple:
+    """Each degree d of degree_box(k, bound), in order, with the map
+    {t: d + t} over the degrees t of the box whose sum with d stays in it:
+    the only degrees a coefficient at d reaches through a shift q^t."""
     box = degree_box(k, bound)
-    return tuple((d, tuple((t, tuple(map(sub, d, t))) for t in box if all(map(le, t, d))))
+    return tuple((d, {t: e for t in box if max(e := tuple(map(add, d, t))) <= bound})
                  for d in box)
+
+
+def _factor(a: LaurentPolynomial) -> "int | LaurentPolynomial":
+    """a as a LaurentSum factor: the int 1 or -1 when a is that constant, so
+    that adding a * b takes no multiply."""
+    c = a.terms.get(0) if len(a.terms) == 1 else None
+    return c if c in (1, -1) else a
+
+
+def _add_at(sums: dict, d, b: LaurentPolynomial, a: "int | LaurentPolynomial") -> None:
+    """sums[d] += a * b in place, sums holding one LaurentSum per key."""
+    acc = sums.get(d)
+    if acc is None:
+        acc = sums[d] = LaurentSum(LaurentPolynomial.zero(b.nvars))
+    acc.add(b, a)
+
+
+def _closed(sums: dict) -> dict:
+    """The nonzero values of the sums _add_at built, which it hands over."""
+    return {d: p for d, acc in sums.items() if (p := acc.value()).terms}
 
 
 def _triangular_solve(rows: list, rhs: dict) -> dict:
@@ -374,34 +395,55 @@ def _triangular_solve(rows: list, rhs: dict) -> dict:
     rows lists (r, terms) in solving order, terms holding every entry of row
     r except its constant diagonal one, as (t, c, a) for a * q^t at column c.
     The q = 0 part must be unitriangular for that order: a term with t = 0
-    involves only unknowns of earlier rows.  Callers check this.  Every
-    degree is then solved in order of total degree by exact substitution,
-    with no division.  Each row's terms are negated and indexed by their
-    shift t once, so a degree d walks only the shifts t <= d (_offsets), and
-    each unknown coefficient sums its subtractions in place (LaurentSum), a
-    unit one without a multiply.
+    involves only unknowns of earlier rows, and a term that does not raises
+    RuntimeError.  The degrees are then solved in degree_box order, and
+    within a degree the rows in solving order, by exact substitution with
+    no division.  The solve pushes: each term is indexed once under the
+    column it reads, and when a coefficient x of x_c at degree d comes out
+    nonzero, -a * x is added at once to the pending sum (LaurentSum) of
+    each reading row at degree d + t, where that lies in the box (_forward).
+    A coefficient is closed when its degree comes up, so the solve visits
+    only nonzero sources, and a unit coefficient adds without a multiply.
     """
     shape = next(iter(rhs.values()))
     k, n, bound = shape.k, shape.nvars, shape.bound
     zero = LaurentPolynomial.zero(n)
-    sol: dict = {r: {} for r, _ in rows}
+    place = {r: i for i, (r, _) in enumerate(rows)}
+    readers: dict = {r: [] for r in place}
     indexed = []
-    for r, terms in rows:
-        by_shift: dict = {}
+    for i, (r, terms) in enumerate(rows):
+        b, pending = rhs[r].coeffs, {}
         for t, c, a in terms:
-            by_shift.setdefault(t, []).append((sol[c], -1 if a.is_one() else -a))
-        indexed.append((r, sol[r], rhs[r].coeffs, by_shift))
-    for dcur, shifts in _offsets(k, bound):
-        for r, out, b, by_shift in indexed:
-            acc = LaurentSum(b.get(dcur, zero))
-            for t, src in shifts:
-                for x, a in by_shift.get(t, ()):
-                    sv = x.get(src)
-                    if sv is not None:
-                        acc.add(sv, a)
-            if acc.terms:
-                out[dcur] = acc.value()
-    return {r: QSeries(k, n, bound, sol[r]) for r in sol}
+            if place[c] >= i and not any(t):
+                raise RuntimeError(f"triangular solve: the q^0 term of row {r} reads "
+                                   f"column {c}, which is not solved before it")
+            readers[c].append((t, pending, b, -_factor(a)))
+        indexed.append((b, pending, {}, readers[r]))
+    for d, reach in _forward(k, bound):
+        for b, pending, out, push in indexed:
+            acc = pending.pop(d, None)
+            x = b.get(d) if acc is None else acc.value()
+            if x is None or not x.terms:
+                continue
+            out[d] = x
+            for t, sums, bt, a in push:
+                e = reach.get(t)
+                if e is not None:
+                    acc = sums.get(e)
+                    if acc is None:
+                        acc = sums[e] = LaurentSum(bt.get(e, zero))
+                    acc.add(x, a)
+    return {r: QSeries(k, n, bound, out) for r, (_, _, out, _) in zip(place, indexed)}
+
+
+@lru_cache(maxsize=None)
+def _metric_rows(space: FlagSpace, bound: int) -> list:
+    """The factor P of the quantum metric as _triangular_solve's rows: row u
+    holds q^d at column Gamma_d(u) for each d != 0 (the d = 0 label is the
+    unit diagonal).  It does not depend on the vanishing rule."""
+    one = LaurentPolynomial.one(space.n)
+    return [(u, [(d, g, one) for d, g in labels if any(d)])
+            for u, labels in _neighborhoods(space, bound).items()]
 
 
 @lru_cache(maxsize=None)
@@ -410,35 +452,44 @@ def _det_column(space: FlagSpace, j: int, bound: int, w: Perm) -> QKElement:
 
     The metric is sum_d q^d P_d Z and the three-point column is
     sum_d q^d P_d b over the degrees the vanishing rule allows, with
-    b_g = chi(det S_j * O_w * O_g).  So y = Z s solves P y = P' b: row u of
-    P has the entry q^d at column Gamma_d(u), so its labels with d != 0 are
-    the solver's terms (the d = 0 label is the unit diagonal), and P' keeps
-    only the allowed degrees; P' b is the table _pairing_vector reads for
-    O_w.  y_g is the classical pairing of the product against O_g, and s
-    holds its O^v coordinates: Z[g][v] = [v <= g], so Z's inverse is the
-    Moebius function of Bruhat order (Verma; Deodhar for parabolic
-    quotients) and s_h = y_h - sum_{v < h} s_v takes additions only, walking
-    the labels up in length.  The column is sum_h s_h * C_h over the sparse
-    O_w expansions C_h of O^h, read only where s_h != 0.
+    b_g = chi(det S_j * O_w * O_g).  So y = Z s solves P y = P' b, with P as
+    the solver's rows (_metric_rows), and P' keeps only the allowed
+    degrees; P' b is the table _pairing_vector reads for O_w.  y_g is the
+    classical pairing of the product against O_g, and s holds its O^v
+    coordinates: Z[g][v] = [v <= g], so Z's inverse is the Moebius function
+    of Bruhat order (Verma; Deodhar for parabolic quotients) and
+    s_h = y_h - sum_{v < h} s_v takes additions only, walking the labels up
+    in length.  The column is sum_h s_h * C_h over the sparse O_w
+    expansions C_h of O^h, read only where s_h != 0.  Both sums are formed
+    in place, one LaurentSum per label and degree.
     """
-    one = LaurentPolynomial.one(space.n)
     column = _pairing_vector(j, schubert_class(space, w, "B"), bound)
-    rows = [(u, [(d, g, one) for d, g in labels if any(d)])
-            for u, labels in _neighborhoods(space, bound).items()]
-    rhs = {u: column.at(u) for u, _ in rows}
-    y = _triangular_solve(rows, rhs)
+    rows = _metric_rows(space, bound)
+    y = _triangular_solve(rows, {u: column.at(u) for u, _ in rows})
     below = _bruhat_below(space)
-    zero = QSeries.zero(space.k, space.n, bound)
     s: dict = {}
     for h in min_coset_reps(space):
-        acc = y[h] - sum((s[v] for v in below[h] if v in s), zero)
-        if not acc.is_zero():
-            s[h] = acc
-    coords: dict = {}
+        acc = {d: LaurentSum(c) for d, c in y[h].coeffs.items()}
+        for v in below[h]:
+            for d, c in s.get(v, {}).items():
+                _add_at(acc, d, c, -1)
+        sh = _closed(acc)
+        if sh:
+            s[h] = sh
+    sums: dict = {}
     for h, sh in s.items():
         for u, c in _opposite_expansion(space, h).items():
-            coords[u] = coords[u] + sh * c if u in coords else sh * c
-    return QKElement(space, bound, coords)
+            at_u, c = sums.setdefault(u, {}), _factor(c)
+            for d, x in sh.items():
+                _add_at(at_u, d, x, c)
+    return _element(space, bound, sums)
+
+
+def _element(space: FlagSpace, bound: int, sums: dict) -> QKElement:
+    """The element whose O_u coordinate at q^d is sums[u][d] (_add_at)."""
+    k, n = space.k, space.n
+    return QKElement(space, bound, {u: QSeries(k, n, bound, _closed(at_u))
+                                    for u, at_u in sums.items()})
 
 
 def _line_operands(oracle: GWOracle, L, sigma: QKElement):
@@ -463,16 +514,28 @@ def line_bundle_product(oracle: GWOracle, L, sigma: QKElement) -> QKElement:
     sum_w sigma_w * (det S_j * O_w): the truncated solve is K_T(pt)[q]-linear,
     so each column det S_j * O_w is solved once per (space, j, bound, w)
     through the factored metric P * Z and cached, and only the columns
-    sigma touches are ever solved.
+    sigma touches are ever solved.  Both parts are summed in place, one
+    LaurentSum per coordinate and degree, into one element at the end.
     """
     space, bound = oracle.space, sigma.bound
     c0, c1, j = _line_operands(oracle, L, sigma)
     if c1.is_zero():
         return sigma * c0
-    acc = QKElement(space, bound, {})
+    reach = dict(_forward(space.k, bound))
+    sums: dict = {}
     for w, qs in sigma.coords.items():
-        acc = acc + _det_column(space, j, bound, w) * qs
-    return sigma * c0 + acc * c1
+        column = _det_column(space, j, bound, w).coords
+        for d, x in qs.coeffs.items():
+            if not c0.is_zero():
+                _add_at(sums.setdefault(w, {}), d, x, _factor(c0))
+            a, at_d = _factor(x * c1), reach[d]
+            for u, col in column.items():
+                at_u = sums.setdefault(u, {})
+                for t, y in col.coeffs.items():
+                    e = at_d.get(t)
+                    if e is not None:
+                        _add_at(at_u, e, y, a)
+    return _element(space, bound, sums)
 
 
 @lru_cache(maxsize=None)

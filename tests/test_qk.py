@@ -345,7 +345,9 @@ def test_det_columns_match_dense_reference(drop_vanishing):
     # each cached column solves the factored metric P * Z; the dense metric
     # is the reference
     for space, bound, mode in [(FL3, 2, "incidence-proven"),
-                               (GR24, 2, "grassmannian-proven")]:
+                               (FL3, 4, "incidence-proven"),
+                               (GR24, 2, "grassmannian-proven"),
+                               (FL134, 2, "incidence-proven")]:
         for j in range(1, space.k + 1):
             for w in min_coset_reps(space):
                 sigma = basis_element(space, w, bound)
@@ -376,9 +378,7 @@ def test_det_columns_match_dense_dual_recombination():
             if bruhat_leq(g, h):
                 coords = {u: c - dh[u] for u, c in coords.items()}
         dual[g] = coords
-    one = LaurentPolynomial.one(space.n)
-    rows = [(u, [(d, g, one) for d, g in labels if any(d)])
-            for u, labels in qk._neighborhoods(space, bound).items()]
+    rows = qk._metric_rows(space, bound)
     for j in range(1, space.k + 1):
         for w in reps:
             column = qk._pairing_vector(j, schubert_class(space, w, "B"), bound)
@@ -389,6 +389,60 @@ def test_det_columns_match_dense_dual_recombination():
                     coords[u] = coords[u] + yg * c
             assert qk._det_column(space, j, bound, w) == \
                 QKElement(space, bound, coords)
+
+
+@st.composite
+def _triangular_systems(draw):
+    # rows 0..m-1 in solving order; a q^0 term reads only an earlier row, a
+    # q-positive term any row, and coefficients and right-hand sides are
+    # Laurent polynomials in two variables, most of them not units
+    k, bound, m = draw(st.integers(1, 2)), draw(st.integers(0, 3)), draw(st.integers(1, 4))
+    n = 2
+    degrees = st.tuples(*[st.integers(0, bound)] * k)
+    laurent = st.dictionaries(st.tuples(st.integers(-2, 2), st.integers(-2, 2)),
+                              st.integers(-3, 3), min_size=1, max_size=3).map(
+        lambda terms: LaurentPolynomial(n, terms))
+    rows = []
+    for r in range(m):
+        terms = []
+        for t, c, a in draw(st.lists(st.tuples(degrees, st.integers(0, m - 1), laurent),
+                                     max_size=4)):
+            if any(t) or c < r:
+                terms.append((t, c, a))
+        rows.append((r, terms))
+    rhs = {r: QSeries(k, n, bound, draw(st.dictionaries(degrees, laurent, max_size=4)))
+           for r in range(m)}
+    return rows, rhs
+
+
+@settings(max_examples=60, deadline=None)
+@given(system=_triangular_systems())
+def test_triangular_solve_round_trip(system):
+    # no reference solver: multiplying the rows back into the solution gives
+    # the right-hand side within the truncation
+    rows, rhs = system
+    x = qk._triangular_solve(rows, rhs)
+    for r, terms in rows:
+        k, n, bound = rhs[r].k, rhs[r].nvars, rhs[r].bound
+        back = x[r]
+        for t, c, a in terms:
+            back = back + QSeries(k, n, bound, {t: a}) * x[c]
+        assert back == rhs[r]
+
+
+def test_triangular_solve_refuses_forward_q0_term():
+    # a q^0 term must read a row solved before its own; pushing a value into
+    # a row that is already closed would drop it, so indexing raises
+    one = LaurentPolynomial.one(2)
+    rhs = {r: QSeries(1, 2, 1, {(0,): one}) for r in "ab"}
+    with pytest.raises(RuntimeError, match="not solved before it"):
+        qk._triangular_solve([("a", [((0,), "b", one)]), ("b", [])], rhs)
+    with pytest.raises(RuntimeError, match="not solved before it"):
+        qk._triangular_solve([("a", [((0,), "a", one)]), ("b", [])], rhs)
+    # the same term read by the later row, or through q, solves
+    assert qk._triangular_solve([("a", []), ("b", [((0,), "a", one)])], rhs)["b"].is_zero()
+    assert qk._triangular_solve([("a", [((1,), "b", one)]), ("b", [])], rhs)["a"] == \
+        QSeries(1, 2, 1, {(0,): one, (1,): -one})
 
 
 @settings(max_examples=12, deadline=None)
