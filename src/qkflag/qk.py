@@ -11,8 +11,12 @@ The vanishing branch is a theorem on incidence varieties and Grassmannians
 and a conjecture on complete flag varieties; a GWOracle records which of
 these licenses is being used, and every report produced from the
 conjectural mode is labeled CONDITIONAL.  gw2 and gw3_divisor give one value
-by one euler_char call, for single queries and as the reference; tables over
-every u and d (product columns, Whitney checks) come from _pairing_vector.
+by one euler_char call, for single queries and as the reference.  Tables
+over every u and d read one value per fixed point at the labels
+Gamma_d(u) (_label_series): the Whitney checks take those values from one
+pairing expansion per class (_pairing_vector), and the product columns
+det S_j * O_w from the K-Chevalley rule, a signed sum of the pairings of
+O_w alone (_chevalley_terms), so one expansion per O_w serves every step j.
 
 Products with a line bundle factor are defined through the quantum metric:
 L * sigma is the unique element whose pairings against the Schubert basis
@@ -57,6 +61,8 @@ from .weyl import (
     _bruhat_below,
     _check_effective,
     bruhat_leq,
+    coset_max,
+    coset_min,
     min_coset_reps,
     reduced_word,
     z_d,
@@ -77,7 +83,8 @@ def degree_box(k: int, bound: int) -> list[Degree]:
 
 def gw2(sigma: KClass, w: Perm, d: Degree) -> LaurentPolynomial:
     """Two-point invariant of sigma against the Schubert class of w, by one
-    euler_char call; _pairing_vector serves a whole table."""
+    euler_char call; a whole table is read off one pairing expansion
+    instead (_pairing_vector, or the Chevalley sums of _det_column)."""
     space = sigma.space
     g = curve_neighborhood_schubert(space, w, d)
     return euler_char(sigma * schubert_class(space, g, "B"))
@@ -197,29 +204,41 @@ def gw3_divisor(oracle: GWOracle, L, sigma: KClass, w: Perm,
 @lru_cache(maxsize=None)
 def _neighborhoods(space: FlagSpace, bound: int) -> dict:
     """The labels (d, Gamma_d(u)) of each basis label u, in degree_box order:
-    the entries q^d of the factor P of the quantum metric.  Gamma_0(u) = u
-    makes P the identity at q = 0; a violation is an internal error."""
+    the entries q^d of the factor P of the quantum metric.  Gamma_d(u)
+    depends on d only through z_d, so z_d is resolved once per degree and
+    curve_neighborhood_schubert asked once per u and distinct z_d, at the
+    first degree that has it.  Gamma_0(u) = u makes P the identity at
+    q = 0; a violation is an internal error."""
+    box = degree_box(space.k, bound)
+    first: dict = {}
+    asked = [(d, first.setdefault(z_d(space, d), d)) for d in box]
     out = {}
     for u in min_coset_reps(space):
-        out[u] = [(d, curve_neighborhood_schubert(space, u, d))
-                  for d in degree_box(space.k, bound)]
+        label = {e: curve_neighborhood_schubert(space, u, e) for e in first.values()}
+        out[u] = [(d, label[e]) for d, e in asked]
         if out[u][0][1] != u:
             raise RuntimeError(f"quantum metric solve failed: Gamma_0({u}) is not {u}")
     return out
 
 
+def _label_series(space: FlagSpace, j: int, bound: int, b: dict) -> dict:
+    """sum_d q^d b[Gamma_d(u)] at every basis label u, over the degrees d the
+    vanishing rule allows for det S_j: the table P' b, with b a value per
+    fixed point."""
+    k, n = space.k, space.n
+    return {u: QSeries(k, n, bound, {d: b[g] for d, g in labels if not _vanishes(d, j)})
+            for u, labels in _neighborhoods(space, bound).items()}
+
+
 def _pairing_vector(j: int, sigma: KClass, bound: int) -> "QKElement":
     """sum_d q^d <det S_j, sigma, O_u>_d at every basis label u of sigma's
-    space, read off one pairings expansion of det S_j * sigma at the labels
-    Gamma_d(u) over the degrees the vanishing rule allows.  j = 0 gives the
-    two-point series, since det S_0 = O."""
+    space, read off one pairings expansion of det S_j * sigma
+    (_label_series).  j = 0 gives the two-point series, since det S_0 = O.
+    verify_qk_whitney reads its invariant level here; product columns build
+    their table by the Chevalley rule instead (_det_column)."""
     space = sigma.space
     b = pairings(det_class(space, j) * sigma)
-    return QKElement(space, bound, {
-        u: QSeries(space.k, space.n, bound, {d: b[g] for d, g in labels
-                                             if not _vanishes(d, j)})
-        for u, labels in _neighborhoods(space, bound).items()
-    })
+    return QKElement(space, bound, _label_series(space, j, bound, b))
 
 
 @lru_cache(maxsize=None)
@@ -251,6 +270,54 @@ def _opposite_expansion(space: FlagSpace, h: Perm) -> dict:
     """The nonzero O_w coordinates of the opposite Schubert class O^h."""
     return {u: c for u, c in expand_schubert(schubert_class(space, h, "B-"), "B").items()
             if not c.is_zero()}
+
+
+@lru_cache(maxsize=None)
+def _schubert_pairings(space: FlagSpace, w: Perm) -> dict:
+    """chi(O_w * O_v) for every label v: one pairings expansion of O_w,
+    shared by the product columns det S_j * O_w of every step j."""
+    return pairings(schubert_class(space, w, "B"))
+
+
+@lru_cache(maxsize=None)
+def _chevalley_terms(space: FlagSpace, j: int, g: Perm) -> tuple:
+    """The pairs (v, c), c != 0, with det S_j * O_g = det S_j|_g * sum c O_v.
+
+    This is the type A equivariant K-Chevalley formula for det S_j, the line
+    bundle of weight -omega_r with r = r_j (its dual pulls back the Pluecker
+    bundle O(1)), times a Schubert structure sheaf: Lenart and Postnikov,
+    "Affine Weyl groups in K-theory and representation theory" (IMRN 2007),
+    along the lambda-chain of omega_r read from its last entry to its first,
+    whose chains are those of Lenart's K-theoretic Monk formula, "A K-theory
+    version of Monk's formula and some related multiplication formulas"
+    (J. Pure Appl. Algebra 179, 2003), with det S_j|_g in front.  With
+    W = coset_max(g) the sum runs over the chains of Bruhat covers
+    W > W t_{a_1 b_1} > W t_{a_1 b_1} t_{a_2 b_2} > ..., empty chain
+    included, in which each t_{ab} swaps positions a <= r < b and the
+    transpositions strictly increase in the order (1, n), (1, n-1), ...,
+    (1, r + 1), (2, n), ..., (r, r + 1).  A chain ending at V adds
+    (-1)^(l(W) - l(V)) to c at v = coset_min(V), so on a partial flag the
+    chains run in the complete flag.  The coefficients are integers, pure
+    combinatorics; expand_schubert is the test reference.
+    """
+    n, r = space.n, space.edges[j]
+    steps = [(a, b) for a in range(r) for b in range(n - 1, r - 1, -1)]
+    terms: dict = {}
+    chains = [(coset_max(space, g), 0, 1)]
+    while chains:
+        top, start, sign = chains.pop()
+        v = coset_min(space, top)
+        terms[v] = terms.get(v, 0) + sign
+        for i in range(start, len(steps)):
+            a, b = steps[i]
+            x, y = top[a], top[b]
+            # W > W t_ab is a cover: W(a) > W(b) with no value in between
+            # at the positions between a and b
+            if x > y and not any(y < top[c] < x for c in range(a + 1, b)):
+                down = list(top)
+                down[a], down[b] = y, x
+                chains.append((tuple(down), i + 1, -sign))
+    return tuple((v, c) for v, c in terms.items() if c)
 
 
 # -- quantum K elements -----------------------------------------------------
@@ -452,9 +519,14 @@ def _det_column(space: FlagSpace, j: int, bound: int, w: Perm) -> QKElement:
 
     The metric is sum_d q^d P_d Z and the three-point column is
     sum_d q^d P_d b over the degrees the vanishing rule allows, with
-    b_g = chi(det S_j * O_w * O_g).  So y = Z s solves P y = P' b, with P as
-    the solver's rows (_metric_rows), and P' keeps only the allowed
-    degrees; P' b is the table _pairing_vector reads for O_w.  y_g is the
+    b_g = chi(det S_j * O_w * O_g).  chi is symmetric, so the Chevalley
+    rule on the O_g side gives
+    b_g = det S_j|_g * sum_(v, c) c * chi(O_w * O_v)
+    over the chain terms (v, c) of g (_chevalley_terms), read off the one
+    pairing table of O_w that every step j shares (_schubert_pairings).
+    So y = Z s solves P y = P' b, with P as the solver's rows
+    (_metric_rows), and P' keeps only the allowed degrees (_label_series;
+    the same table _pairing_vector reads off det S_j * O_w).  y_g is the
     classical pairing of the product against O_g, and s holds its O^v
     coordinates: Z[g][v] = [v <= g], so Z's inverse is the Moebius function
     of Bruhat order (Verma; Deodhar for parabolic quotients) and
@@ -463,9 +535,14 @@ def _det_column(space: FlagSpace, j: int, bound: int, w: Perm) -> QKElement:
     expansions C_h of O^h, read only where s_h != 0.  Both sums are formed
     in place, one LaurentSum per label and degree.
     """
-    column = _pairing_vector(j, schubert_class(space, w, "B"), bound)
-    rows = _metric_rows(space, bound)
-    y = _triangular_solve(rows, {u: column.at(u) for u, _ in rows})
+    pairs, det = _schubert_pairings(space, w), det_class(space, j)
+    b = {}
+    for g in min_coset_reps(space):
+        acc = LaurentSum(LaurentPolynomial.zero(space.n))
+        for v, c in _chevalley_terms(space, j, g):
+            acc.add(pairs[v], c)
+        b[g] = acc.value() * det.at(g)
+    y = _triangular_solve(_metric_rows(space, bound), _label_series(space, j, bound, b))
     below = _bruhat_below(space)
     s: dict = {}
     for h in min_coset_reps(space):

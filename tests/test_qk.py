@@ -9,12 +9,16 @@ line vanish in positive degree along its own step.
 
 import hashlib
 import json
+from fractions import Fraction
+from itertools import permutations
+from math import prod
+from operator import sub
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qkflag import qk
+from qkflag import presentation, qk
 from qkflag.algebra import LaurentPolynomial, QSeries, render_qseries, t_elem
 from qkflag.curves import curve_neighborhood_schubert
 from qkflag.ktheory import (
@@ -45,15 +49,21 @@ from qkflag.qk import (
 from qkflag.weyl import (
     FlagSpace,
     bruhat_leq,
+    coset_max,
     identity,
+    length,
     longest_element,
     min_coset_reps,
+    right_mul,
     simple_reflection,
+    z_d,
 )
 
 FL3 = FlagSpace(3, (1, 2))
 FL134 = FlagSpace(4, (1, 3))
 GR24 = FlagSpace(4, (2,))
+FL4 = FlagSpace.full(4)
+FL235 = FlagSpace(5, (2, 3))
 
 
 def laurent(x, n):
@@ -389,6 +399,128 @@ def test_det_columns_match_dense_dual_recombination():
                     coords[u] = coords[u] + yg * c
             assert qk._det_column(space, j, bound, w) == \
                 QKElement(space, bound, coords)
+
+
+@pytest.mark.parametrize("space, step", [
+    (FL3, 1), (FL4, 1), (GR24, 1), (FL134, 1), (FL235, 1), (FlagSpace.full(5), 6),
+], ids=["Fl(3)", "Fl(4)", "Gr(2,4)", "Fl(1,3;4)", "Fl(2,3;5)", "Fl(5)-every-6th"])
+def test_chevalley_terms_match_expansion(space, step):
+    # the product columns build their right-hand sides from the Chevalley
+    # chains; the substitution expansion of det S_j * O_w is the reference
+    for j in range(1, space.k + 1):
+        det = det_class(space, j)
+        for w in min_coset_reps(space)[::step]:
+            expected = {v: c for v, c in expand_schubert(
+                det * schubert_class(space, w, "B"), "B").items() if not c.is_zero()}
+            assert {v: det.at(w) * c for v, c in qk._chevalley_terms(space, j, w)} == \
+                expected, (j, w)
+
+
+@pytest.mark.parametrize("space, bound", [(FL4, 2), (FL134, 3), (FL235, 2)],
+                         ids=["Fl(4)-qdeg2", "Fl(1,3;4)-qdeg3", "Fl(2,3;5)-qdeg2"])
+def test_neighborhoods_match_per_degree_labels(space, bound, monkeypatch,
+                                               fresh_qk_caches):
+    # one label per basis label and distinct z_d, asked through the name
+    # qk.curve_neighborhood_schubert, stands for every degree with that z_d
+    asked = []
+    monkeypatch.setattr(qk, "curve_neighborhood_schubert",
+                        lambda s, u, d: asked.append(d) or curve_neighborhood_schubert(s, u, d))
+    box = degree_box(space.k, bound)
+    reps = min_coset_reps(space)
+    assert qk._neighborhoods(space, bound) == {
+        u: [(d, curve_neighborhood_schubert(space, u, d)) for d in box] for u in reps}
+    assert len(asked) == len(reps) * len({z_d(space, d) for d in box}) < len(reps) * len(box)
+
+
+def _seeded_full_classes(n, t):
+    # every complete-flag O_w ("B") and O^w ("B-") restricted to every
+    # permutation at the seed t, by Fraction Demazure steps from the point
+    # classes at the identity and at the longest element:
+    # (op_i s)(x) = (s(x) - X s(x s_i)) / (1 - X) with X = t_{x(i)} / t_{x(i+1)}
+    perms = sorted(permutations(range(1, n + 1)), key=length)
+    classes = {}
+    for variant, order in (("B", perms), ("B-", perms[::-1])):
+        start = order[0]
+        point = prod(1 - t[start[a] - 1] / t[start[b] - 1]
+                     for a in range(n) for b in range(a + 1, n))
+        classes[variant, start] = {x: point if x == start else Fraction(0) for x in perms}
+        for w in order[1:]:
+            # a descent of w for O_w, an ascent for O^w: w s_i comes earlier
+            i = next(i for i in range(1, n) if (w[i - 1] > w[i]) == (variant == "B"))
+            prev, cls = classes[variant, right_mul(w, i)], {}
+            for x in perms:
+                X = t[x[i - 1] - 1] / t[x[i] - 1]
+                cls[x] = (prev[x] - X * prev[right_mul(x, i)]) / (1 - X)
+            classes[variant, w] = cls
+    return classes
+
+
+def _seeded_columns(space, bound, t):
+    # every det S_j * O_w at the seed t: b by localization sums, the factored
+    # solve P y = P' b degree by degree, s_h = y_h - sum_{v < h} s_v, and the
+    # column sum_h s_h O^h in the O_u basis, all in Fraction arithmetic
+    n, k, reps = space.n, space.k, min_coset_reps(space)
+    full = _seeded_full_classes(n, t)
+    # on a partial flag O_w restricts the class of the coset's longest
+    # element, O^w the class of w itself
+    lower = {w: {x: full["B", coset_max(space, w)][x] for x in reps} for w in reps}
+    upper = {w: {x: full["B-", w][x] for x in reps} for w in reps}
+    block = [b for b, (lo, hi) in enumerate(space.block_bounds()) for _ in range(lo, hi)]
+    tangent = {x: prod(1 - t[x[a] - 1] / t[x[c] - 1] for a in range(n)
+                       for c in range(a + 1, n) if block[a] != block[c]) for x in reps}
+    # O^h in the O_u basis: O_u vanishes at x unless x <= u, so walk x down
+    change = {}
+    for h in reps:
+        change[h] = {}
+        for x in reversed(reps):
+            rest = sum(c * lower[u][x] for u, c in change[h].items())
+            change[h][x] = (upper[h][x] - rest) / lower[x][x]
+    into = {u: [(h, c) for h in reps if (c := change[h][u])] for u in reps}
+    below = {h: [v for v in reps if v != h and bruhat_leq(v, h)] for h in reps}
+    box = degree_box(k, bound)
+    label = {u: {d: curve_neighborhood_schubert(space, u, d) for d in box} for u in reps}
+    columns = {}
+    for j in range(1, k + 1):
+        det = {x: prod(t[a - 1] for a in x[:space.ranks[j - 1]]) for x in reps}
+        for w in reps:
+            weight = {x: det[x] * c / tangent[x] for x, c in lower[w].items() if c}
+            b = {g: sum(c * lower[g][x] for x, c in weight.items()) for g in reps}
+            y = {u: {} for u in reps}
+            for d in box:
+                # every d - e with e != 0 comes earlier in degree_box order
+                for u in reps:
+                    acc = b[label[u][d]] if d[j - 1] == 0 else Fraction(0)
+                    for e in box:
+                        if any(e) and all(map(int.__le__, e, d)):
+                            acc -= y[label[u][e]][tuple(map(sub, d, e))]
+                    y[u][d] = acc
+            s = {}
+            for h in reps:
+                s[h] = {d: y[h][d] - sum(s[v][d] for v in below[h]) for d in box}
+            columns[j, w] = {u: {d: sum(s[h][d] * c for h, c in into[u] if s[h][d])
+                                 for d in box} for u in reps}
+    return columns
+
+
+@pytest.mark.parametrize("space, bound", [(FL3, 2), (GR24, 2), (FL134, 2), (FL4, 1)],
+                         ids=["Fl(1,2;3)-qdeg2", "Gr(2,4)-qdeg2", "Fl(1,3;4)-qdeg2",
+                              "Fl(4)-qdeg1"])
+def test_det_columns_match_seeded_localization(space, bound):
+    # an independent recomputation of every product column at two seeded
+    # torus points: Fraction localization values only, no Laurent division,
+    # no Chevalley chains and no qk table: labels come from
+    # curve_neighborhood_schubert degree by degree
+    for seed in (0, 1):
+        t = presentation._seed_values(seed, space.n)
+        seeded = _seeded_columns(space, bound, t)
+        for (j, w), column in seeded.items():
+            exact = qk._det_column(space, j, bound, w)
+            for u, at_u in column.items():
+                coeffs = exact.at(u).coeffs
+                for d, value in at_u.items():
+                    c = coeffs.get(d)
+                    assert (0 if c is None else presentation._eval_laurent(c, t)) == value, \
+                        (seed, j, w, u, d)
 
 
 @st.composite
