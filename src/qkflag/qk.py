@@ -11,27 +11,24 @@ The vanishing branch is a theorem on incidence varieties and Grassmannians
 and a conjecture on complete flag varieties; a GWOracle records which of
 these licenses is being used, and every report produced from the
 conjectural mode is labeled CONDITIONAL.  gw2 and gw3_divisor give one value
-by one euler_char call, for single queries and as the reference.  Tables
-over every u and d read one value per fixed point at the labels
-Gamma_d(u) (_label_series): the Whitney checks take those values from one
-pairing expansion per class (_pairing_vector), and the product columns
-det S_j * O_w from the K-Chevalley rule, a signed sum of the pairings of
-O_w alone (_chevalley_terms), so one expansion per O_w serves every step j.
+by one euler_char call, for single queries and as the reference.  The
+Whitney checks read whole tables over every u and d off one pairing
+expansion per class, at the labels Gamma_d(u) (_pairing_vector).
 
 Products with a line bundle factor are defined through the quantum metric:
-L * sigma is the unique element whose pairings against the Schubert basis
-match the three-point column.  Each metric entry chi(O^v * O_g) is the Euler
-characteristic of a Richardson variety, which is 1 when v <= g in Bruhat
-order and 0 (the variety is empty) otherwise, so the degree-d metric
-factors as P_d * Z: P_d sends u to its curve-neighborhood label
-Gamma_d(u) and Z[g][v] = [v <= g] is the Bruhat indicator.  The
-three-point column factors through the same P_d, so products solve the
-factored system P y = P' b, where y holds the classical pairings of the
-product against the O_g.  P is the identity at q = 0, so the truncated
-system solves degree by degree with no division: each coefficient, once
-solved, is pushed into the pending sums of the rows that read it.  Z is
-inverted by the Moebius function of Bruhat order, with additions only.
-General products of two non-line-bundle classes are out of scope.
+L * sigma is the unique element whose pairings against the opposite classes
+O^v match the three-point column.  The degree-d pairing of O_u with O^v is
+chi(O_u * O^(v_d)), where Gamma_d(X^v) = X^(v_d) is the w0-twist of a
+Schubert curve neighborhood, and this Euler characteristic of a Richardson
+variety is 1 when v_d <= u in Bruhat order and 0 otherwise.  So the metric
+side of a product column is a sum of Bruhat up-set sums of its unknown O_u
+coordinates, and the K-Chevalley rule (_chevalley_terms) makes the
+three-point side det S_j|_w times up-set sums of integer chain
+coefficients.  The column solves degree by degree with no division, since
+the system is the identity at q = 0, and Moebius inversion over Bruhat
+order recovers the coordinates with additions only (_det_column); no
+Schubert class is built.  General products of two non-line-bundle classes
+are out of scope.
 """
 
 from dataclasses import dataclass
@@ -61,8 +58,10 @@ from .weyl import (
     _bruhat_below,
     _check_effective,
     bruhat_leq,
+    compose,
     coset_max,
     coset_min,
+    longest_element,
     min_coset_reps,
     reduced_word,
     z_d,
@@ -84,7 +83,7 @@ def degree_box(k: int, bound: int) -> list[Degree]:
 def gw2(sigma: KClass, w: Perm, d: Degree) -> LaurentPolynomial:
     """Two-point invariant of sigma against the Schubert class of w, by one
     euler_char call; a whole table is read off one pairing expansion
-    instead (_pairing_vector, or the Chevalley sums of _det_column)."""
+    instead (_pairing_vector)."""
     space = sigma.space
     g = curve_neighborhood_schubert(space, w, d)
     return euler_char(sigma * schubert_class(space, g, "B"))
@@ -203,12 +202,13 @@ def gw3_divisor(oracle: GWOracle, L, sigma: KClass, w: Perm,
 
 @lru_cache(maxsize=None)
 def _neighborhoods(space: FlagSpace, bound: int) -> dict:
-    """The labels (d, Gamma_d(u)) of each basis label u, in degree_box order:
-    the entries q^d of the factor P of the quantum metric.  Gamma_d(u)
-    depends on d only through z_d, so z_d is resolved once per degree and
+    """The labels (d, Gamma_d(u)) of each basis label u, in degree_box order,
+    read by every table over u and d, and through w0 by the opposite labels
+    of the product columns (_opposite_rows).  Gamma_d(u) depends on d only
+    through z_d, so z_d is resolved once per degree and
     curve_neighborhood_schubert asked once per u and distinct z_d, at the
-    first degree that has it.  Gamma_0(u) = u makes P the identity at
-    q = 0; a violation is an internal error."""
+    first degree that has it.  Gamma_0(u) = u makes the metric the identity
+    at q = 0; a violation is an internal error."""
     box = degree_box(space.k, bound)
     first: dict = {}
     asked = [(d, first.setdefault(z_d(space, d), d)) for d in box]
@@ -221,24 +221,18 @@ def _neighborhoods(space: FlagSpace, bound: int) -> dict:
     return out
 
 
-def _label_series(space: FlagSpace, j: int, bound: int, b: dict) -> dict:
-    """sum_d q^d b[Gamma_d(u)] at every basis label u, over the degrees d the
-    vanishing rule allows for det S_j: the table P' b, with b a value per
-    fixed point."""
-    k, n = space.k, space.n
-    return {u: QSeries(k, n, bound, {d: b[g] for d, g in labels if not _vanishes(d, j)})
-            for u, labels in _neighborhoods(space, bound).items()}
-
-
 def _pairing_vector(j: int, sigma: KClass, bound: int) -> "QKElement":
     """sum_d q^d <det S_j, sigma, O_u>_d at every basis label u of sigma's
-    space, read off one pairings expansion of det S_j * sigma
-    (_label_series).  j = 0 gives the two-point series, since det S_0 = O.
-    verify_qk_whitney reads its invariant level here; product columns build
-    their table by the Chevalley rule instead (_det_column)."""
+    space, over the degrees d the vanishing rule allows, read off one
+    pairings expansion of det S_j * sigma at the labels Gamma_d(u).  j = 0
+    gives the two-point series, since det S_0 = O.  verify_qk_whitney reads
+    its invariant level here."""
     space = sigma.space
+    k, n = space.k, space.n
     b = pairings(det_class(space, j) * sigma)
-    return QKElement(space, bound, _label_series(space, j, bound, b))
+    return QKElement(space, bound, {
+        u: QSeries(k, n, bound, {d: b[g] for d, g in labels if not _vanishes(d, j)})
+        for u, labels in _neighborhoods(space, bound).items()})
 
 
 @lru_cache(maxsize=None)
@@ -251,9 +245,8 @@ def quantum_gram(space: FlagSpace, bound: int):
     X^v meet X_g: it is 1 when v <= g in Bruhat order and 0 otherwise, so
     every coefficient is the 0/1 Bruhat indicator.  The constant term is
     the indicator of v <= u, which makes the matrix invertible within the
-    truncation.  This is the dense form of the metric; products solve the
-    factored form P * Z instead and invert Z by Moebius inversion over
-    Bruhat order (see _det_column).
+    truncation.  This is the dense form of the metric; product columns pair
+    against the opposite classes instead and need no matrix (_det_column).
     """
     reps = min_coset_reps(space)
     k, n = space.k, space.n
@@ -263,20 +256,6 @@ def quantum_gram(space: FlagSpace, bound: int):
             for v in reps}
         for u, labels in _neighborhoods(space, bound).items()
     }
-
-
-@lru_cache(maxsize=None)
-def _opposite_expansion(space: FlagSpace, h: Perm) -> dict:
-    """The nonzero O_w coordinates of the opposite Schubert class O^h."""
-    return {u: c for u, c in expand_schubert(schubert_class(space, h, "B-"), "B").items()
-            if not c.is_zero()}
-
-
-@lru_cache(maxsize=None)
-def _schubert_pairings(space: FlagSpace, w: Perm) -> dict:
-    """chi(O_w * O_v) for every label v: one pairings expansion of O_w,
-    shared by the product columns det S_j * O_w of every step j."""
-    return pairings(schubert_class(space, w, "B"))
 
 
 @lru_cache(maxsize=None)
@@ -504,62 +483,59 @@ def _triangular_solve(rows: list, rhs: dict) -> dict:
 
 
 @lru_cache(maxsize=None)
-def _metric_rows(space: FlagSpace, bound: int) -> list:
-    """The factor P of the quantum metric as _triangular_solve's rows: row u
-    holds q^d at column Gamma_d(u) for each d != 0 (the d = 0 label is the
-    unit diagonal).  It does not depend on the vanishing rule."""
-    one = LaurentPolynomial.one(space.n)
-    return [(u, [(d, g, one) for d, g in labels if any(d)])
-            for u, labels in _neighborhoods(space, bound).items()]
+def _opposite_rows(space: FlagSpace, bound: int) -> list:
+    """The opposite curve-neighborhood labels as _triangular_solve's rows:
+    row v holds q^d at column v_d for each d != 0, where
+    Gamma_d(X^v) = X^(v_d).  Left multiplication by w0 carries X_u to
+    X^(w0 u), so v_d is the minimal representative of w0 Gamma_d(u) with u
+    that of w0 v (_neighborhoods).  The d = 0 label is v itself, the unit
+    diagonal.  The rows do not depend on the vanishing rule."""
+    w0, one = longest_element(space.n), LaurentPolynomial.one(space.n)
+    labels = _neighborhoods(space, bound)
+    return [(v, [(d, coset_min(space, compose(w0, g)), one)
+                 for d, g in labels[coset_min(space, compose(w0, v))] if any(d)])
+            for v in min_coset_reps(space)]
 
 
 @lru_cache(maxsize=None)
 def _det_column(space: FlagSpace, j: int, bound: int, w: Perm) -> QKElement:
-    """det S_j * O_w through the factored metric, in the O_w basis.
+    """det S_j * O_w = sum_u a_u O_u, paired against the opposite classes.
 
-    The metric is sum_d q^d P_d Z and the three-point column is
-    sum_d q^d P_d b over the degrees the vanishing rule allows, with
-    b_g = chi(det S_j * O_w * O_g).  chi is symmetric, so the Chevalley
-    rule on the O_g side gives
-    b_g = det S_j|_g * sum_(v, c) c * chi(O_w * O_v)
-    over the chain terms (v, c) of g (_chevalley_terms), read off the one
-    pairing table of O_w that every step j shares (_schubert_pairings).
-    So y = Z s solves P y = P' b, with P as the solver's rows
-    (_metric_rows), and P' keeps only the allowed degrees (_label_series;
-    the same table _pairing_vector reads off det S_j * O_w).  y_g is the
-    classical pairing of the product against O_g, and s holds its O^v
-    coordinates: Z[g][v] = [v <= g], so Z's inverse is the Moebius function
-    of Bruhat order (Verma; Deodhar for parabolic quotients) and
-    s_h = y_h - sum_{v < h} s_v takes additions only, walking the labels up
-    in length.  The column is sum_h s_h * C_h over the sparse O_w
-    expansions C_h of O^h, read only where s_h != 0.  Both sums are formed
-    in place, one LaurentSum per label and degree.
+    Its degree-d pairing with O^v is sum_u a_u chi(O_u * O^(v_d)), with
+    Gamma_d(X^v) = X^(v_d) (_opposite_rows), and chi(O_u * O^x) = [x <= u],
+    the Euler characteristic of a Richardson variety.  So with
+    z_x = sum_{u >= x} a_u the metric side is sum_d q^d z_(v_d).  The
+    three-point side is sum_d q^d b_(v_d) over the degrees the vanishing
+    rule allows, where the K-Chevalley rule (_chevalley_terms) gives
+    b_x = chi(det S_j * O_w * O^x) = det S_j|_w * sum c over the chain
+    terms (u, c) of w with u >= x.  The system in z is unitriangular at
+    q = 0 and solves with no division (_triangular_solve); then
+    a_u = z_u - sum_{x > u} a_x, walking the labels down in length, pushes
+    each closed a_u into the pending sums of the labels below u.  No
+    Schubert class enters: the column is det S_j|_w times integers.
     """
-    pairs, det = _schubert_pairings(space, w), det_class(space, j)
-    b = {}
-    for g in min_coset_reps(space):
-        acc = LaurentSum(LaurentPolynomial.zero(space.n))
-        for v, c in _chevalley_terms(space, j, g):
-            acc.add(pairs[v], c)
-        b[g] = acc.value() * det.at(g)
-    y = _triangular_solve(_metric_rows(space, bound), _label_series(space, j, bound, b))
-    below = _bruhat_below(space)
-    s: dict = {}
-    for h in min_coset_reps(space):
-        acc = {d: LaurentSum(c) for d, c in y[h].coeffs.items()}
-        for v in below[h]:
-            for d, c in s.get(v, {}).items():
-                _add_at(acc, d, c, -1)
-        sh = _closed(acc)
-        if sh:
-            s[h] = sh
-    sums: dict = {}
-    for h, sh in s.items():
-        for u, c in _opposite_expansion(space, h).items():
-            at_u, c = sums.setdefault(u, {}), _factor(c)
-            for d, x in sh.items():
-                _add_at(at_u, d, x, c)
-    return _element(space, bound, sums)
+    k, n = space.k, space.n
+    below, det = _bruhat_below(space), det_class(space, j).at(w)
+    count: dict = {}
+    for u, c in _chevalley_terms(space, j, w):
+        for x in (u, *below[u]):
+            count[x] = count.get(x, 0) + c
+    b = {x: det * c for x, c in count.items() if c}
+    rows, rhs = _opposite_rows(space, bound), {}
+    for v, terms in rows:
+        at_v = {d: b[x] for d, x, _ in terms if x in b and not _vanishes(d, j)}
+        if v in b:
+            at_v[(0,) * k] = b[v]
+        rhs[v] = QSeries(k, n, bound, at_v)
+    z = _triangular_solve(rows, rhs)
+    sums = {u: {d: LaurentSum(c) for d, c in z[u].coeffs.items()} for u in z}
+    a: dict = {}
+    for u in reversed(min_coset_reps(space)):
+        a[u] = _closed(sums[u])
+        for x in below[u]:
+            for d, c in a[u].items():
+                _add_at(sums[x], d, c, -1)
+    return QKElement(space, bound, {u: QSeries(k, n, bound, au) for u, au in a.items()})
 
 
 def _element(space: FlagSpace, bound: int, sums: dict) -> QKElement:
@@ -590,9 +566,9 @@ def line_bundle_product(oracle: GWOracle, L, sigma: QKElement) -> QKElement:
     the metric against sigma's own pairings returns sigma.  The c1 part is
     sum_w sigma_w * (det S_j * O_w): the truncated solve is K_T(pt)[q]-linear,
     so each column det S_j * O_w is solved once per (space, j, bound, w)
-    through the factored metric P * Z and cached, and only the columns
-    sigma touches are ever solved.  Both parts are summed in place, one
-    LaurentSum per coordinate and degree, into one element at the end.
+    against the opposite classes (_det_column) and cached, and only the
+    columns sigma touches are ever solved.  Both parts are summed in place,
+    one LaurentSum per coordinate and degree, into one element at the end.
     """
     space, bound = oracle.space, sigma.bound
     c0, c1, j = _line_operands(oracle, L, sigma)

@@ -20,7 +20,7 @@ from hypothesis import strategies as st
 
 from qkflag import presentation, qk
 from qkflag.algebra import LaurentPolynomial, QSeries, render_qseries, t_elem
-from qkflag.curves import curve_neighborhood_schubert
+from qkflag.curves import class_neighborhood, curve_neighborhood_schubert
 from qkflag.ktheory import (
     bundle_class,
     bundle_quotient_class,
@@ -374,31 +374,22 @@ def test_det_columns_match_dense_reference(drop_vanishing):
                         embed_classical(classical, bound)
 
 
-def test_det_columns_match_dense_dual_recombination():
-    # the columns recombine the solved pairings y by Bruhat Moebius inversion
-    # over the sparse expansions of the O^h; the reference sums y_g * D_g over
-    # the dense dual classes, chi(D_g * O_h) = [g = h], built from the top
-    # down as D_g = O^g - sum_{h > g} D_h
-    space, bound = FlagSpace.full(4), 1
-    reps = min_coset_reps(space)
-    dual = {}
-    for g in reversed(reps):
-        coords = expand_schubert(schubert_class(space, g, "B-"), "B")
-        for h, dh in dual.items():
-            if bruhat_leq(g, h):
-                coords = {u: c - dh[u] for u, c in coords.items()}
-        dual[g] = coords
-    rows = qk._metric_rows(space, bound)
-    for j in range(1, space.k + 1):
-        for w in reps:
-            column = qk._pairing_vector(j, schubert_class(space, w, "B"), bound)
-            y = qk._triangular_solve(rows, {u: column.at(u) for u, _ in rows})
-            coords = {u: QSeries.zero(space.k, space.n, bound) for u in reps}
-            for g, yg in y.items():
-                for u, c in dual[g].items():
-                    coords[u] = coords[u] + yg * c
-            assert qk._det_column(space, j, bound, w) == \
-                QKElement(space, bound, coords)
+@pytest.mark.parametrize("space, bound", [
+    (FL3, 2), (FL4, 2), (FL134, 2), (GR24, 3), (FL235, 1),
+], ids=["Fl(3)-qdeg2", "Fl(4)-qdeg2", "Fl(1,3;4)-qdeg2", "Gr(2,4)-qdeg3", "Fl(2,3;5)-qdeg1"])
+def test_opposite_rows_match_class_neighborhoods(space, bound):
+    # the product columns pair against the opposite classes at the w0-twisted
+    # labels Gamma_d(X^v) = X^(v_d); the Demazure operators along z_d that
+    # move the class O^v itself are the reference
+    full, one = FlagSpace.full(space.n), laurent(1, space.n)
+    rows = qk._opposite_rows(space, bound)
+    assert [v for v, _ in rows] == min_coset_reps(space)
+    for v, terms in rows:
+        assert [d for d, _, _ in terms] == degree_box(space.k, bound)[1:]
+        opp = schubert_class(space, v, "B-")
+        for d, label, a in terms:
+            assert a == one
+            assert class_neighborhood(opp, d) == schubert_class(full, label, "B-"), (v, d)
 
 
 @pytest.mark.parametrize("space, step", [
@@ -856,7 +847,8 @@ def test_conjectural_products_small_flag():
 @pytest.mark.parametrize("n, bound, digest", [
     (3, 5, "8720a0f2e15ab00ce05df75f936c7c143d924a44ab6b33bcb70022b0669db87a"),
     (4, 2, "a4e3fa0c79ff5160a4dee3591a3060e181c163e51e426edf5a4a73eab1795be4"),
-], ids=["fl3-qdeg5", "fl4-qdeg2"])
+    (5, 1, "b33a0dc3ac0e393add4a745205e85bb13ae68eb31f213177e186229f6633c95b"),
+], ids=["fl3-qdeg5", "fl4-qdeg2", "fl5-qdeg1"])
 def test_conjectural_product_tables_pinned(n, bound, digest):
     # every entry of the complete-flag product tables, rendered line by line
     # as the benchmark's fl3-products workload renders them
