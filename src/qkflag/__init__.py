@@ -26,7 +26,7 @@ from .ktheory import (
     pairings,
     schubert_class,
 )
-from .curves import class_neighborhood, curve_neighborhood_schubert
+from .curves import curve_neighborhood_schubert
 from .qk import (
     GWOracle,
     QKElement,

@@ -125,15 +125,11 @@ class LaurentPolynomial:
         return _laurent(nvars, {0: 1}, 0)
 
     @staticmethod
-    def variable(nvars: int, i: int, power: int = 1) -> "LaurentPolynomial":
-        """The monomial T_i^power with 1-based variable index i."""
+    def variable(nvars: int, i: int) -> "LaurentPolynomial":
+        """The monomial T_i with 1-based variable index i."""
         if not 1 <= i <= nvars:
             raise ValueError(f"variable index {i} out of range 1..{nvars}")
-        return _laurent(nvars, {power << (32 * (i - 1)): 1}, abs(power))
-
-    @staticmethod
-    def monomial(nvars: int, exp: tuple[int, ...], coeff: int = 1) -> "LaurentPolynomial":
-        return LaurentPolynomial(nvars, {tuple(exp): coeff})
+        return _laurent(nvars, {1 << (32 * (i - 1)): 1}, 1)
 
     # -- predicates --------------------------------------------------------
 
@@ -235,7 +231,12 @@ class LaurentPolynomial:
 
     def __hash__(self):
         if self._hash is None:
-            self._hash = hash((self.nvars, frozenset(self.terms.items())))
+            terms = self.terms
+            if not terms or (len(terms) == 1 and 0 in terms):
+                # a constant equals its int, so it hashes as the int
+                self._hash = hash(terms.get(0, 0))
+            else:
+                self._hash = hash((self.nvars, frozenset(terms.items())))
         return self._hash
 
     def __repr__(self):

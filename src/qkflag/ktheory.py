@@ -33,7 +33,6 @@ from .weyl import (
     _bruhat_below,
     _check_min_rep,
     coset_max,
-    coset_min,
     identity,
     longest_element,
     min_coset_reps,
@@ -106,14 +105,6 @@ class KClass:
         return NotImplemented
 
     __rmul__ = __mul__
-
-
-def zero_class(space: FlagSpace) -> KClass:
-    return scalar_class(space, 0)
-
-
-def one_class(space: FlagSpace) -> KClass:
-    return scalar_class(space, 1)
 
 
 def scalar_class(space: FlagSpace, c) -> KClass:
@@ -388,17 +379,3 @@ def pairings(sigma: KClass) -> dict:
     below = _bruhat_below(space)
     return {g: sum((found[v] for v in (*below[g], g) if v in found), zero)
             for g in min_coset_reps(space)}
-
-
-# -- moving between spaces --------------------------------------------------
-
-
-def pullback(sigma: KClass) -> KClass:
-    """Pull a partial-flag class back to the complete flag variety.
-
-    The value at u is the value at the minimal representative of u's coset.
-    """
-    space = sigma.space
-    full = FlagSpace.full(space.n)
-    vals = {u: sigma.values[coset_min(space, u)] for u in min_coset_reps(full)}
-    return KClass(full, vals)

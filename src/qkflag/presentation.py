@@ -15,8 +15,9 @@ Four ideal flavors are supported.
   available for every partial flag variety.
 * ``quantum-power-series``: the quantized relations with coefficients in
   power series q_j/(1 - q_j); incidence varieties only.
-* ``quantum-polynomial``: the same ideal with the (1 - q_j) denominators
-  cleared, so generators are honest polynomials in q; incidence only.
+* ``quantum-polynomial``: the same relations, each multiplied by the unit
+  (1 - q_j) it is stated over, so generators are honest polynomials in q;
+  incidence only.
 * ``coulomb``: relations on an auxiliary set of variables coming from the
   critical locus of the gauge-theory superpotential; incidence only.
 
@@ -409,16 +410,28 @@ def _classical_generators(space: FlagSpace) -> list:
     return gens
 
 
+def _q_ratio(space: FlagSpace, j: int) -> PresPoly:
+    """The series q_j / (1 - q_j) that the quantized relations are stated
+    with.
+
+    Only the critical-locus images divide through _over_unit, so that a
+    change to those images leaves the Whitney ideal they are compared with
+    as it is.
+    """
+    q = pres_q(space, j)
+    return PresPoly(space, q.names, q.terms, tuple(int(i == j) for i in range(1, space.k + 1)))
+
+
 def _incidence_series_generators(space: FlagSpace) -> list:
     n = space.n
     x1 = pres_var(space, "eX1_1")
-    q1 = pres_q(space, 1)
-    q2 = pres_q(space, 2)
+    r1 = _q_ratio(space, 1)
+    r2 = _q_ratio(space, 2)
     gens = []
     for m in range(1, n):
         g = _yvar(space, 1, m) + x1 * _yvar(space, 1, m - 1) - _xvar(space, 2, m)
         if m == n - 1:
-            g = g + _over_unit(_yvar(space, 1, n - 2) * x1 * q1, 1)
+            g = g + _yvar(space, 1, n - 2) * x1 * r1
         gens.append(g)
     c = pres_var(space, "eY2_1")
     for m in range(1, n + 1):
@@ -429,32 +442,17 @@ def _incidence_series_generators(space: FlagSpace) -> list:
             inner = inner - pres_one(space)
         if m == 2:
             inner = inner - x1
-        gens.append(g + _over_unit(c * inner * q2, 2))
+        gens.append(g + c * inner * r2)
     return gens
 
 
 def _incidence_polynomial_generators(space: FlagSpace) -> list:
+    # each series relation times the unit it is stated over: 1 for the
+    # sub-line relations m < n-1, 1 - q_1 for m = n-1 and 1 - q_2 for every
+    # det-wedge relation, also where the series correction vanishes (m = 1)
     n = space.n
-    x1 = pres_var(space, "eX1_1")
-    q1 = pres_q(space, 1)
-    q2 = pres_q(space, 2)
-    gens = []
-    for m in range(1, n):
-        g = _yvar(space, 1, m) + x1 * _yvar(space, 1, m - 1) - _xvar(space, 2, m)
-        if m == n - 1:
-            g = g + q1 * _xvar(space, 2, n - 1)
-        gens.append(g)
-    c = pres_var(space, "eY2_1")
-    for m in range(1, n + 1):
-        em = pres_scalar(space, t_elem(space.n, m, space.n + space.k))
-        g = _xvar(space, 2, m) + _xvar(space, 2, m - 1) * c - em
-        corr = em - _xvar(space, 2, m)
-        if m == 1:
-            corr = corr - c
-        if m == 2:
-            corr = corr - c * x1
-        gens.append(g + q2 * corr)
-    return gens
+    units = [1] * (n - 2) + [_q_unit(space, 1)] + [_q_unit(space, 2)] * n
+    return [g * u for g, u in zip(_incidence_series_generators(space), units)]
 
 
 def _coulomb_generators(space: FlagSpace) -> list:

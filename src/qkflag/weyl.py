@@ -7,8 +7,9 @@ positions i, i+1; left multiplication swaps the values i, i+1.
 
 The module provides reduced words, Bruhat order, the Demazure (Hecke)
 product, minimal coset representatives for partial flag varieties,
-positive roots, and the curve-neighborhood elements z_d obtained by
-greedily peeling maximal roots from an effective degree.
+positive roots e_a - e_b, the curve-neighborhood elements z_d obtained by
+greedily peeling maximal roots from an effective degree, and the factor
+surgery that lowers a complete-flag degree by one simple root.
 """
 
 from __future__ import annotations
@@ -23,14 +24,6 @@ Degree = tuple[int, ...]
 
 def identity(n: int) -> Perm:
     return tuple(range(1, n + 1))
-
-
-def simple_reflection(n: int, i: int) -> Perm:
-    if not 1 <= i <= n - 1:
-        raise ValueError("simple reflection index out of range")
-    w = list(range(1, n + 1))
-    w[i - 1], w[i] = w[i], w[i - 1]
-    return tuple(w)
 
 
 def transposition(n: int, a: int, b: int) -> Perm:
@@ -89,13 +82,6 @@ def reduced_word(w: Perm) -> tuple[int, ...]:
         pos[i - 1], pos[i] = q, p
 
 
-def compose_word(n: int, word) -> Perm:
-    acc = identity(n)
-    for i in word:
-        acc = compose(acc, simple_reflection(n, i))
-    return acc
-
-
 def demazure_product(u: Perm, v: Perm) -> Perm:
     """The Hecke product u * v: absorb v letter by letter, keeping only
     the length-increasing right multiplications."""
@@ -127,25 +113,6 @@ def bruhat_leq(u: Perm, w: Perm) -> bool:
     return True
 
 
-def parabolic_longest(n: int, gens) -> Perm:
-    """Longest element of the parabolic subgroup generated by the given
-    simple reflections: reverse each run of consecutive generators."""
-    gens = sorted(set(gens))
-    out = list(range(1, n + 1))
-    run_start = None
-    prev = None
-    for g in gens + [None]:
-        if g is not None and not 1 <= g <= n - 1:
-            raise ValueError("generator index out of range")
-        if run_start is not None and (g is None or g != prev + 1):
-            out[run_start - 1 : prev + 1] = reversed(out[run_start - 1 : prev + 1])
-            run_start = None
-        if g is not None and run_start is None:
-            run_start = g
-        prev = g
-    return tuple(out)
-
-
 # ---------------------------------------------------------------------- roots
 
 
@@ -160,23 +127,8 @@ class Root:
         if not 1 <= self.a < self.b:
             raise ValueError("a root needs 1 <= a < b")
 
-    def support(self) -> range:
-        """Indices of the simple roots appearing in e_a - e_b."""
-        return range(self.a, self.b)
-
-    def word(self) -> tuple[int, ...]:
-        """Palindromic reduced word of the reflection: descend from b-1
-        to a, then climb back to b-1."""
-        down = range(self.b - 1, self.a - 1, -1)
-        up = range(self.a + 1, self.b)
-        return tuple(down) + tuple(up)
-
     def to_perm(self, n: int) -> Perm:
         return transposition(n, self.a, self.b)
-
-
-def positive_roots(n: int) -> list[Root]:
-    return [Root(a, b) for a in range(1, n) for b in range(a + 1, n + 1)]
 
 
 # ----------------------------------------------------------------- flag spaces
@@ -370,28 +322,6 @@ def z_d(space: FlagSpace, d: Degree) -> Perm:
 def z_d_peels(space: FlagSpace, d: Degree) -> tuple[Root, ...]:
     """The greedy peel sequence; its reversed Hecke product is z_d."""
     return _z_d_peels(space, _check_effective(space, d))
-
-
-@lru_cache(maxsize=None)
-def _z_d_choices(space: FlagSpace, d: Degree) -> frozenset[Perm]:
-    # one pass per peel level over (degree, Hecke product of the peels so far)
-    results, pending = set(), {(d, identity(space.n))}
-    while pending:
-        peeled = set()
-        for deg, suffix in pending:
-            comps = _active_components(space, deg)
-            if not comps:
-                results.add(suffix)
-            for comp in comps:
-                beta, lowered = _peel(space, deg, comp)
-                peeled.add((lowered, demazure_product(beta.to_perm(space.n), suffix)))
-        pending = peeled
-    return frozenset(results)
-
-
-def z_d_choices(space: FlagSpace, d: Degree) -> frozenset[Perm]:
-    """Results over every choice of maximal root at every peel level."""
-    return _z_d_choices(space, _check_effective(space, d))
 
 
 def z_d_replace_factor(space: FlagSpace, d: Degree, i: int) -> Perm:

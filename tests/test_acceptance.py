@@ -9,7 +9,7 @@ import itertools
 import time
 
 from qkflag.algebra import LaurentPolynomial, QSeries, t_elem
-from qkflag.curves import curve_neighborhood_schubert, incidence_neighborhood_label
+from qkflag.curves import curve_neighborhood_schubert
 from qkflag.ktheory import (
     bundle_quotient_class,
     demazure_op,
@@ -42,8 +42,9 @@ from qkflag.weyl import (
     min_coset_reps,
     right_mul,
     z_d,
-    z_d_choices,
 )
+
+from reference import incidence_neighborhood_label, z_d_choices
 
 
 def report_line(num, slug, t0):

@@ -13,7 +13,7 @@ import pytest
 import qkflag.cli
 import qkflag.qk
 from qkflag.cli import dispatch
-from qkflag.ktheory import one_class
+from qkflag.ktheory import scalar_class
 from qkflag.qk import embed_classical
 from qkflag.weyl import min_coset_reps
 
@@ -128,7 +128,9 @@ def test_integral_commands_do_not_import_sympy(command):
      "31dd7ca06ba7ed800035dac73f565bcc0f9556809e0ea803fb55ce4fc0a9b9ff"),
     ("verify flag-reduction --n 4",
      "0e4f1917d2a71eb386aaacb4612edf491080885037a19da20932a36b610f6c4f"),
-], ids=["incidence", "coulomb", "flag-reduction"])
+    ("verify flag-reduction --n 5",
+     "100db628a59def66698c95069bb4955b5cfacf86e68612541ad5c392f6b0b045"),
+], ids=["incidence", "coulomb", "flag-reduction", "flag-reduction-n5"])
 def test_verifications_hold_under_python_O(command, digest):
     # python -O strips assert statements; no check may rest on one, so the
     # optimised run prints the same verdict and exits the same way
@@ -479,7 +481,7 @@ def test_verify_presentation_reports_surviving_images(capsys, monkeypatch):
     # an evaluation map that kills nothing leaves every relation and the
     # kernel element standing
     monkeypatch.setattr(qkflag.cli, "psi_evaluate", lambda gen, bound:
-                        embed_classical(one_class(gen.space), bound))
+                        embed_classical(scalar_class(gen.space, 1), bound))
     code, doc, _ = run_json(capsys, "verify", "presentation", "--n", "3")
     assert code == 1
     assert doc["status"] == "FAIL"

@@ -10,17 +10,8 @@ from itertools import product
 
 import pytest
 
-from qkflag.curves import (
-    class_neighborhood,
-    curve_neighborhood_schubert,
-    incidence_neighborhood_label,
-)
-from qkflag.ktheory import (
-    bundle_class,
-    one_class,
-    pullback,
-    schubert_class,
-)
+from qkflag.curves import curve_neighborhood_schubert
+from qkflag.ktheory import bundle_class, scalar_class, schubert_class
 from qkflag.weyl import (
     FlagSpace,
     bruhat_leq,
@@ -32,6 +23,8 @@ from qkflag.weyl import (
     min_coset_reps,
     z_d,
 )
+
+from reference import class_neighborhood, incidence_neighborhood_label, pullback
 
 
 def degree_grid(k, bound):
@@ -167,4 +160,4 @@ def test_input_validation():
     with pytest.raises(ValueError):
         incidence_neighborhood_label(FlagSpace(4, (2,)), (2, 1, 3, 4), (1, 0))
     with pytest.raises(ValueError):
-        class_neighborhood(one_class(space), (1,))
+        class_neighborhood(scalar_class(space, 1), (1,))
