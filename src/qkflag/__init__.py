@@ -20,7 +20,6 @@ from .ktheory import (
     bundle_quotient_class,
     det_class,
     demazure_op,
-    demazure_word,
     euler_char,
     expand_schubert,
     pairings,

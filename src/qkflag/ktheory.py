@@ -116,14 +116,22 @@ def scalar_class(space: FlagSpace, c) -> KClass:
 # -- tautological bundles ---------------------------------------------------
 
 
-def _wedge_class(space: FlagSpace, lo: int, hi: int, ell: int) -> KClass:
-    # restriction at w: e_ell in T_{w(p)} over the positions lo <= p < hi
-    n = space.n
-    vals = {}
-    for w in min_coset_reps(space):
-        e = elem_sym([_tchar(n, w[p]) for p in range(lo, hi)], ell)
-        vals[w] = LaurentPolynomial.one(n) * e
-    return KClass(space, vals)
+def _substitute(f: LaurentPolynomial, w: Perm) -> LaurentPolynomial:
+    """f(T_{w(1)}, ..., T_{w(n)}): the variable x_a renamed T_{w(a)}."""
+    inv = sorted(range(f.nvars), key=w.__getitem__)
+    return LaurentPolynomial(f.nvars, {tuple([e[a] for a in inv]): c for e, c in f._items()})
+
+
+def _poly_class(space: FlagSpace, f: LaurentPolynomial) -> KClass:
+    """The class of f in x_1..x_n, restricting at w to f(T_{w(1)}, ...).  At
+    the identity that is f itself, so equal classes have equal polynomials."""
+    return KClass(space, {w: _substitute(f, w) for w in min_coset_reps(space)})
+
+
+def _wedge_poly(n: int, lo: int, hi: int, ell: int) -> LaurentPolynomial:
+    # e_ell(x_{lo+1}, ..., x_hi), the wedge of the span of those positions
+    xs = [_tchar(n, a) for a in range(lo + 1, hi + 1)]
+    return LaurentPolynomial.one(n) * elem_sym(xs, ell)
 
 
 def _sub_rank(space: FlagSpace, j: int) -> int:
@@ -143,7 +151,7 @@ def bundle_class(space: FlagSpace, j: int, ell: int) -> KClass:
     r = _sub_rank(space, j)
     if ell < 0:
         raise ValueError("negative exterior power")
-    return _wedge_class(space, 0, r, ell)
+    return _poly_class(space, _wedge_poly(space.n, 0, r, ell))
 
 
 @lru_cache(maxsize=None)
@@ -153,7 +161,7 @@ def bundle_quotient_class(space: FlagSpace, j: int, ell: int) -> KClass:
         raise ValueError(f"no quotient bundle with index {j}")
     if ell < 0:
         raise ValueError("negative exterior power")
-    return _wedge_class(space, space.edges[j], space.edges[j + 1], ell)
+    return _poly_class(space, _wedge_poly(space.n, space.edges[j], space.edges[j + 1], ell))
 
 
 def det_class(space: FlagSpace, j: int) -> KClass:
@@ -206,11 +214,13 @@ def demazure_op(i: int, sigma: KClass) -> KClass:
     return KClass(space, out)
 
 
-def demazure_word(word, sigma: KClass) -> KClass:
-    """Apply Demazure operators along a word, first letter first."""
-    for i in word:
-        sigma = demazure_op(i, sigma)
-    return sigma
+def _isobaric(i: int, f: LaurentPolynomial) -> LaurentPolynomial:
+    """pi_i f = (x_{i+1} f - x_i s_i f) / (x_{i+1} - x_i), s_i swapping x_i and
+    x_{i+1}: at x = T_w it is the Demazure value, so the class of pi_i f is
+    demazure_op(i, ...) of the class of f."""
+    s = list(range(1, f.nvars + 1))
+    s[i - 1], s[i] = s[i], s[i - 1]
+    return _demazure_value(f, _substitute(f, tuple(s)), i, i + 1, f.nvars)
 
 
 # -- Schubert classes -------------------------------------------------------

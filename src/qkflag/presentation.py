@@ -410,23 +410,11 @@ def _classical_generators(space: FlagSpace) -> list:
     return gens
 
 
-def _q_ratio(space: FlagSpace, j: int) -> PresPoly:
-    """The series q_j / (1 - q_j) that the quantized relations are stated
-    with.
-
-    Only the critical-locus images divide through _over_unit, so that a
-    change to those images leaves the Whitney ideal they are compared with
-    as it is.
-    """
-    q = pres_q(space, j)
-    return PresPoly(space, q.names, q.terms, tuple(int(i == j) for i in range(1, space.k + 1)))
-
-
 def _incidence_series_generators(space: FlagSpace) -> list:
     n = space.n
     x1 = pres_var(space, "eX1_1")
-    r1 = _q_ratio(space, 1)
-    r2 = _q_ratio(space, 2)
+    r1 = _over_unit(pres_q(space, 1), 1)
+    r2 = _over_unit(pres_q(space, 2), 2)
     gens = []
     for m in range(1, n):
         g = _yvar(space, 1, m) + x1 * _yvar(space, 1, m - 1) - _xvar(space, 2, m)
@@ -779,6 +767,19 @@ def _render_member(p: dict, names: list) -> str:
     return " + ".join(pieces) if pieces else "0"
 
 
+def _critical_images(space: FlagSpace) -> dict:
+    """The images of coulomb_equivalence, by name; Whitney names map to themselves."""
+    n = space.n
+    images = {nm: pres_var(space, nm) for nm in pres_names(space)}
+    for ell in range(1, n - 1):
+        img = pres_var(space, f"eY1_{ell}")
+        if ell == n - 2:
+            img = _over_unit(img, 1)
+        images[f"eXbar1_{ell}"] = img
+    images["Xbar2_1"] = _over_unit(pres_var(space, "eY2_1"), 2)
+    return images
+
+
 def coulomb_equivalence(space: FlagSpace) -> dict:
     """Check that the critical-locus relations present the same ideal.
 
@@ -797,13 +798,7 @@ def coulomb_equivalence(space: FlagSpace) -> dict:
     nv = n + k
     coul = ideal_generators(space, "coulomb")
     target = ideal_generators(space, "quantum-polynomial")
-    images = {nm: pres_var(space, nm) for nm in pres_names(space)}
-    for ell in range(1, n - 1):
-        img = pres_var(space, f"eY1_{ell}")
-        if ell == n - 2:
-            img = _over_unit(img, 1)
-        images[f"eXbar1_{ell}"] = img
-    images["Xbar2_1"] = _over_unit(pres_var(space, "eY2_1"), 2)
+    images = _critical_images(space)
     names = list(pres_names(space)) + [f"q{j}" for j in range(1, k + 1)]
     width = len(names)
     basis = _buchberger([_gb_from_pres(t) for t in target.generators], width)

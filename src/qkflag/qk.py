@@ -32,7 +32,7 @@ are out of scope.
 """
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 from itertools import product as iter_product
 from operator import add
 
@@ -40,10 +40,12 @@ from .algebra import LaurentPolynomial, LaurentSum, QSeries, _grlex_key, t_elem
 from .curves import curve_neighborhood_schubert
 from .ktheory import (
     KClass,
+    _isobaric,
+    _poly_class,
+    _wedge_poly,
     bundle_class,
     bundle_quotient_class,
     det_class,
-    demazure_word,
     euler_char,
     expand_schubert,
     pairings,
@@ -746,38 +748,6 @@ def verify_qk_whitney(space: FlagSpace, bound: int) -> dict:
     return _report("incidence-whitney", space, bound, status, witnesses)
 
 
-def _word_images(space: FlagSpace, requests: list):
-    """image(j, ell, word) = demazure_word(word, wedge^ell S_j) for the given
-    (j, ell, word) requests, asked in that order.
-
-    Each image is built one letter at a time from the longest prefix image
-    kept.  A prefix's image is kept only where two requests share the prefix
-    and part there, or one of them ends there: those are the prefixes a later
-    request starts from, and the rest would never be read again.
-    """
-    through: dict = {}
-    for j, ell, word in requests:
-        for m in range(1, len(word) + 1):
-            through[j, ell, word[:m]] = through.get((j, ell, word[:m]), 0) + 1
-    passed = {(j, ell, word[:-1]) for (j, ell, word), c in through.items()
-              if through.get((j, ell, word[:-1])) == c}
-    keep = {p for p, c in through.items() if c > 1 and p not in passed}
-    images: dict = {}
-
-    def image(j, ell, word):
-        m = len(word)
-        while m and (j, ell, word[:m]) not in images:
-            m -= 1
-        sigma = images[j, ell, word[:m]] if m else bundle_class(space, j, ell)
-        for m in range(m, len(word)):
-            sigma = demazure_word(word[m:m + 1], sigma)
-            if (j, ell, word[:m + 1]) in keep:
-                images[j, ell, word[:m + 1]] = sigma
-        return sigma
-
-    return image
-
-
 def verify_flag_reduction(nmax: int, bound: int) -> dict:
     """Unconditional checks behind the complete-flag reduction.
 
@@ -788,6 +758,8 @@ def verify_flag_reduction(nmax: int, bound: int) -> dict:
     det S_i times a wedge difference against det S_{i+1} holds over every
     saturated label.  Below truncation 1 the degree-drop checks have no
     degree to run on, so it is refused.
+    Both are checked on the polynomials of the classes: wedge^ell S_j is
+    e_ell(x_1..x_j) and a Demazure operator an isobaric divided difference.
     """
     if nmax < 3:
         raise ValueError("need nmax >= 3")
@@ -798,7 +770,17 @@ def verify_flag_reduction(nmax: int, bound: int) -> dict:
         space = FlagSpace.full(n)
         k = n - 1
         reps = min_coset_reps(space)
-        drops, requests = [], []
+        wedge = partial(_wedge_poly, n, 0)
+        images: dict = {}
+
+        def image(j, ell, word):
+            # pi_word e_ell(x_1..x_j), first letter first, kept per prefix
+            key = (j, ell, word)
+            if key not in images:
+                images[key] = (_isobaric(word[-1], image(j, ell, word[:-1])) if word
+                               else wedge(j, ell))
+            return images[key]
+
         for d in degree_box(k, bound):
             if not any(d):
                 continue
@@ -806,31 +788,26 @@ def verify_flag_reduction(nmax: int, bound: int) -> dict:
                 if d[i - 1] == 0 or (i <= n - 2 and d[i] != 0):
                     continue
                 zrep = z_d_replace_factor(space, d, i)
-                word_full, word_rep = reduced_word(z_d(space, d)), reduced_word(zrep)
-                drops.append((d, i, zrep, word_full, word_rep))
-                for ell in range(1, i + 1):
-                    requests += [(i, ell, word_full), (i - 1, ell, word_rep)]
-        image = _word_images(space, requests)
-        for d, i, zrep, word_full, word_rep in drops:
-            lowered = tuple(c - 1 if a == i - 1 else c for a, c in enumerate(d))
-            if zrep != z_d(space, lowered):
-                witnesses.append({
-                    "relation": "degree-drop-word",
-                    "n": n, "d": list(d), "i": i,
-                })
-            for ell in range(1, i + 1):
-                if image(i, ell, word_full) != image(i - 1, ell, word_rep):
+                lowered = tuple(c - 1 if a == i - 1 else c for a, c in enumerate(d))
+                if zrep != z_d(space, lowered):
                     witnesses.append({
-                        "relation": "degree-drop-neighborhoods",
-                        "n": n, "d": list(d), "i": i, "ell": ell,
+                        "relation": "degree-drop-word",
+                        "n": n, "d": list(d), "i": i,
                     })
+                word_full, word_rep = reduced_word(z_d(space, d)), reduced_word(zrep)
+                for ell in range(1, i + 1):
+                    if image(i, ell, word_full) != image(i - 1, ell, word_rep):
+                        witnesses.append({
+                            "relation": "degree-drop-neighborhoods",
+                            "n": n, "d": list(d), "i": i, "ell": ell,
+                        })
         for i in range(1, n):
             failing = {}
             for ell in range(1, i + 2):
-                diff = bundle_class(space, i + 1, ell) - bundle_class(space, i, ell)
-                gap = pairings(det_class(space, i) * diff
-                               - det_class(space, i + 1) * bundle_class(space, i, ell - 1))
-                failing[ell] = {g for g, c in gap.items() if not c.is_zero()}
+                gap = wedge(i, i) * (wedge(i + 1, ell) - wedge(i, ell)) \
+                    - wedge(i + 1, i + 1) * wedge(i, ell - 1)
+                pairs = pairings(_poly_class(space, gap))
+                failing[ell] = {g for g, c in pairs.items() if not c.is_zero()}
             if not any(failing.values()):
                 # no label can fail, so no neighborhood needs computing
                 continue

@@ -9,8 +9,8 @@ carries no option that only tests set:
   which on step 2 deletes the q_2 corrections of the Whitney relations;
 - skip_surgery makes the degree-lowering factor surgery of
   verify_flag_reduction return z_d untouched;
-- drop_unit omits the 1/(1 - q_1) factor from the critical-locus images of
-  coulomb_equivalence.
+- drop_unit omits the 1/(1 - q_1) factor from the critical-locus image of
+  eXbar1_{n-2} in coulomb_equivalence.
 """
 
 import contextlib
@@ -68,8 +68,15 @@ def skip_surgery(monkeypatch):
 
 @pytest.fixture
 def drop_unit(monkeypatch):
-    """p / (1 - q_1) becomes p.  In coulomb_equivalence the image of
-    eXbar1_{n-2} is the one division by 1 - q_1."""
-    real = presentation._over_unit
-    monkeypatch.setattr(presentation, "_over_unit",
-                        lambda p, j: p if j == 1 else real(p, j))
+    """The image of eXbar1_{n-2} loses its 1/(1 - q_1): it becomes eY1_{n-2}.
+    Only the critical-locus images change; every other use of the unit
+    division, the Whitney ideal among them, stays as it is."""
+    real = presentation._critical_images
+
+    def undivided(space):
+        images = real(space)
+        top = space.n - 2
+        images[f"eXbar1_{top}"] = presentation.pres_var(space, f"eY1_{top}")
+        return images
+
+    monkeypatch.setattr(presentation, "_critical_images", undivided)

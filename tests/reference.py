@@ -7,8 +7,11 @@ the tests:
   a reflection, and the longest element of a parabolic subgroup;
 - z_d over every choice of maximal root at every peel level, which must
   agree with the greedy peel of ``weyl.z_d``;
-- the class-level curve neighborhood, Demazure operators along z_d applied
-  to the pullback of a class to the complete flag;
+- Demazure operators applied to a class along a word, and the class-level
+  curve neighborhood, Demazure operators along z_d applied to the pullback
+  of a class to the complete flag;
+- tautological wedge classes built point by point from the fixed-point
+  characters;
 - the three-branch closed form of the neighborhood label on the incidence
   variety Fl(1, n-1; n);
 - the q = 0 part of a quantum K element as a K-theory class.
@@ -16,7 +19,8 @@ the tests:
 
 from functools import lru_cache
 
-from qkflag.ktheory import KClass, demazure_word, scalar_class, schubert_class
+from qkflag.algebra import LaurentPolynomial, elem_sym
+from qkflag.ktheory import KClass, demazure_op, scalar_class, schubert_class
 from qkflag.qk import QKElement
 from qkflag.weyl import (
     Degree,
@@ -106,6 +110,28 @@ def _z_d_choices(space: FlagSpace, d: Degree) -> frozenset[Perm]:
 def z_d_choices(space: FlagSpace, d: Degree) -> frozenset[Perm]:
     """Results over every choice of maximal root at every peel level."""
     return _z_d_choices(space, _check_effective(space, d))
+
+
+# -- classes ------------------------------------------------------------------
+
+
+def demazure_word(word, sigma: KClass) -> KClass:
+    """Apply Demazure operators along a word, first letter first."""
+    for i in word:
+        sigma = demazure_op(i, sigma)
+    return sigma
+
+
+def wedge_class(space: FlagSpace, lo: int, hi: int, ell: int) -> KClass:
+    """The class restricting at w to e_ell of T_{w(p)} over the 0-based
+    positions lo <= p < hi: wedge^ell S_j for (0, r_j), of a quotient
+    S_{j+1}/S_j for (r_j, r_{j+1})."""
+    n = space.n
+    vals = {}
+    for w in min_coset_reps(space):
+        e = elem_sym([LaurentPolynomial.variable(n, w[p]) for p in range(lo, hi)], ell)
+        vals[w] = LaurentPolynomial.one(n) * e
+    return KClass(space, vals)
 
 
 # -- curve neighborhoods ------------------------------------------------------

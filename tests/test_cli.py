@@ -130,7 +130,12 @@ def test_integral_commands_do_not_import_sympy(command):
      "0e4f1917d2a71eb386aaacb4612edf491080885037a19da20932a36b610f6c4f"),
     ("verify flag-reduction --n 5",
      "100db628a59def66698c95069bb4955b5cfacf86e68612541ad5c392f6b0b045"),
-], ids=["incidence", "coulomb", "flag-reduction", "flag-reduction-n5"])
+    ("verify flag-reduction --n 6",
+     "f056dbf81fa247020ea0525260e55323e00ead1334da54c78100e568ff16731c"),
+    ("verify flag-reduction --n 7",
+     "0a0411a142f2f9f897c92a26a1198514742943134dca708542210fc0649c2167"),
+], ids=["incidence", "coulomb", "flag-reduction", "flag-reduction-n5",
+        "flag-reduction-n6", "flag-reduction-n7"])
 def test_verifications_hold_under_python_O(command, digest):
     # python -O strips assert statements; no check may rest on one, so the
     # optimised run prints the same verdict and exits the same way

@@ -12,7 +12,7 @@ from fractions import Fraction
 
 import pytest
 
-from qkflag import ktheory
+from qkflag import ktheory, qk
 from qkflag.algebra import (
     LaurentPolynomial,
     _binomial_shape,
@@ -24,7 +24,6 @@ from qkflag.ktheory import (
     bundle_class,
     bundle_quotient_class,
     demazure_op,
-    demazure_word,
     det_class,
     euler_char,
     expand_schubert,
@@ -46,9 +45,17 @@ from qkflag.weyl import (
     min_coset_reps,
     reduced_word,
     right_mul,
+    z_d,
 )
 
-from reference import parabolic_longest, pullback, root_word, simple_reflection
+from reference import (
+    demazure_word,
+    parabolic_longest,
+    pullback,
+    root_word,
+    simple_reflection,
+    wedge_class,
+)
 
 
 def tvar(n, a):
@@ -301,6 +308,21 @@ def test_bundle_quotient_values():
         assert bundle_quotient_class(space, 2, 1).at(w) == laurent(tvar(4, w[3]), 4)
 
 
+@pytest.mark.parametrize("space", [FlagSpace.full(4), FlagSpace(5, (1, 3)), FlagSpace(5, (2,))],
+                         ids=["fl4", "fl135", "gr25"])
+def test_wedge_classes_match_pointwise_reference(space):
+    # the substituted polynomials e_ell(x_lo+1..x_hi) against elem_sym of
+    # the characters at each point
+    edges = space.edges
+    for j in range(space.k + 2):
+        for ell in range(edges[j] + 2):
+            assert bundle_class(space, j, ell) == wedge_class(space, 0, edges[j], ell)
+    for j in range(space.k + 1):
+        lo, hi = edges[j], edges[j + 1]
+        for ell in range(hi - lo + 2):
+            assert bundle_quotient_class(space, j, ell) == wedge_class(space, lo, hi, ell)
+
+
 def test_whitney_sum_pointwise():
     spaces = small_spaces() + [FlagSpace(5, (2, 3)), FlagSpace(5, (1, 4)), FlagSpace.full(5)]
     for space in spaces:
@@ -339,6 +361,50 @@ def test_demazure_on_bundle_classes():
                         assert moved == bundle_class(space, k - 1, ell)
                     else:
                         assert moved == wedge
+
+
+@pytest.mark.parametrize("n", [3, 4, 5])
+def test_isobaric_difference_is_the_demazure_operator(n):
+    space = FlagSpace.full(n)
+    for j in range(n + 1):
+        for ell in range(j + 1):
+            f = ktheory._wedge_poly(n, 0, j, ell)
+            cls = ktheory._poly_class(space, f)
+            for i in range(1, n):
+                moved = ktheory._poly_class(space, ktheory._isobaric(i, f))
+                assert moved == demazure_op(i, cls), (j, ell, i)
+
+
+def test_degree_drop_images_match_class_level_demazure(monkeypatch):
+    # every image verify_flag_reduction(5, 1) compares as a polynomial is
+    # the class-level Demazure image of its wedge along the same word
+    seen = set()
+    real = qk._isobaric
+
+    def spy(i, f):
+        out = real(i, f)
+        seen.add(out)
+        return out
+
+    monkeypatch.setattr(qk, "_isobaric", spy)
+    assert qk.verify_flag_reduction(5, 1)["status"] == "PASS"
+    checked = 0
+    for n in (3, 4, 5):
+        space = FlagSpace.full(n)
+        for d in qk.degree_box(n - 1, 1):
+            for i in range(1, n):
+                if d[i - 1] == 0 or (i <= n - 2 and d[i] != 0):
+                    continue
+                for j, z in ((i, z_d(space, d)), (i - 1, qk.z_d_replace_factor(space, d, i))):
+                    word = reduced_word(z)
+                    for ell in range(1, i + 1):
+                        expected = demazure_word(word, bundle_class(space, j, ell))
+                        image = expected.at(identity(n))
+                        assert not word or image in seen
+                        assert ktheory._poly_class(space, image) == expected
+                        checked += 1
+    # 79 degree-drop comparisons, two sides each
+    assert checked == 158
 
 
 def test_demazure_along_root_words():

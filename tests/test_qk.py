@@ -18,7 +18,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qkflag import presentation, qk
+from qkflag import ktheory, presentation, qk
 from qkflag.algebra import LaurentPolynomial, QSeries, render_qseries, t_elem
 from qkflag.curves import curve_neighborhood_schubert
 from qkflag.ktheory import (
@@ -814,13 +814,23 @@ def test_whitney_catches_mutated_sub_line_invariant(monkeypatch, fresh_qk_caches
     assert "sub-line-invariants" in _relations(report)
 
 
+def _report_digest(report):
+    return hashlib.sha256(json.dumps(report, sort_keys=True).encode()).hexdigest()
+
+
 def test_flag_reduction_catches_wrong_neighborhood_images(monkeypatch):
-    # without the Demazure images the degree-drop identity compares
-    # wedge(S_i) with wedge(S_{i-1}) directly
-    monkeypatch.setattr(qk, "demazure_word", lambda word, sigma: sigma)
-    report = verify_flag_reduction(3, 1)
-    assert report["status"] == "FAIL"
-    assert "degree-drop-neighborhoods" in _relations(report)
+    # without the isobaric differences the degree-drop identity compares
+    # e_ell(x_1..x_i) with e_ell(x_1..x_{i-1}) directly
+    monkeypatch.setattr(qk, "_isobaric", lambda i, f: f)
+    for nmax, digest in [
+        (3, "b34e659957f42cb0fe0c33ca8c42f4b50a23718c54b06bdfda2007e74d9641c7"),
+        (4, "f929bda2640fbc02faad0c7830974581fd9fa29bc333355eba92b28ddd715f51"),
+    ]:
+        report = verify_flag_reduction(nmax, 1)
+        assert report["status"] == "FAIL"
+        assert "degree-drop-neighborhoods" in _relations(report)
+        # the witnesses, their order and the report shape are pinned
+        assert _report_digest(report) == digest, nmax
 
 
 def test_flag_reduction_catches_wrong_pairings(monkeypatch):
@@ -830,6 +840,18 @@ def test_flag_reduction_catches_wrong_pairings(monkeypatch):
     report = verify_flag_reduction(3, 1)
     assert report["status"] == "FAIL"
     assert "adjacent-det-pairing" in _relations(report)
+    assert _report_digest(report) == \
+        "bef1789310bf2fc74b930d64a8746363fe05e9cf5b6b55c617047bc272b1d196"
+
+
+def test_flag_reduction_builds_no_demazure_class(monkeypatch):
+    # both identities are checked on polynomials, so no class-level
+    # Demazure operator runs
+    def refuse(i, sigma):
+        raise RuntimeError("a class-level Demazure image was built")
+
+    monkeypatch.setattr(ktheory, "demazure_op", refuse)
+    assert verify_flag_reduction(5, 2)["status"] == "PASS"
 
 
 def test_conjectural_products_small_flag():
